@@ -9,9 +9,9 @@ of the invariant computation.
 """
 
 from yagita import (
+    CycMatrix,
     MatrixGroup,
     eigen_exponents,
-    identity,
     n_upper,
     order_p_cyclic_subgroups,
     total_chern,
@@ -29,14 +29,14 @@ print("  exponent gcd (n_upper):", n_upper(m, 5))
 
 print()
 print("the central element zeta_3 * I of the order-27 group:")
-c = zeta(3) * identity(3, 3)
+c = zeta(3) * CycMatrix.identity(3, 3)
 print("  exponents:", eigen_exponents(c, 3).as_dict())
 print("  total Chern class:", total_chern(eigen_exponents(c, 3)))
 print("  n_upper:", n_upper(c, 3))
 
 print()
 print("identity matrices impose no constraint at all:")
-print("  n_upper(I_3 at p=3):", n_upper(identity(3), 3))
+print("  n_upper(I_3 at p=3):", n_upper(CycMatrix.identity(3), 3))
 
 print()
 print("scanning all 13 order-3 subgroups of the order-27 witness:")

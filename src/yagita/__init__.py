@@ -25,11 +25,9 @@ from .exactmat import (
     closure,
     det,
     element_order,
-    identity,
     kron,
     order_p_cyclic_subgroups,
     relations_check,
-    trace,
 )
 from .formulas import (
     SlResult,
@@ -53,7 +51,6 @@ from .fppoly import (
 )
 from .harness import (
     VerificationReport,
-    report_from_json,
     report_to_json,
     table,
     verify_case,

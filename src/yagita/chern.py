@@ -16,11 +16,9 @@ import math
 from dataclasses import dataclass
 
 from .cyclo import CycNum, zeta
-from .exactmat import CycMatrix, MatrixGroup, identity, order_p_cyclic_subgroups
+from .exactmat import CycMatrix, MatrixGroup, order_p_cyclic_subgroups
 from .fppoly import INFINITY, FpPoly
 from .numutil import is_prime
-
-TotalChernClass = FpPoly
 
 
 class MultiplicityError(ArithmeticError):
@@ -60,7 +58,7 @@ def eigen_exponents(m: CycMatrix, p: int) -> EigenExponents:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     n = m.size
-    ident = identity(n, m.conductor)
+    ident = CycMatrix.identity(n, m.conductor)
     powers = [ident]
     x = m
     for _ in range(p - 1):
@@ -87,7 +85,7 @@ def eigen_exponents(m: CycMatrix, p: int) -> EigenExponents:
     return EigenExponents(p, tuple(mults))
 
 
-def total_chern(e: EigenExponents) -> TotalChernClass:
+def total_chern(e: EigenExponents) -> FpPoly:
     """Product of (1 + a*x)^multiplicity(a) over F_p; the exponent a = 0
     (trivial summand) contributes the factor 1."""
     f = FpPoly.one(e.p)

@@ -20,19 +20,7 @@ from fractions import Fraction
 
 from .numutil import divisors, euler_phi
 
-__all__ = [
-    "CycNum",
-    "zeta",
-    "cyclotomic_poly",
-    "add",
-    "multiply",
-    "negate",
-    "equals",
-    "invert",
-    "embed_conductor",
-    "galois_apply",
-    "as_rational",
-]
+__all__ = ["CycNum", "zeta", "cyclotomic_poly"]
 
 
 # ---------------------------------------------------------------------------
@@ -407,38 +395,3 @@ class CycNum:
 def zeta(n: int, k: int = 1) -> CycNum:
     """The root of unity zeta_n**k as an exact cyclotomic number."""
     return CycNum(n, _zeta_power(n, k))
-
-
-# Named operation surface mirroring the CycNum methods.
-
-
-def add(x: CycNum, y: CycNum) -> CycNum:
-    return x + y
-
-
-def multiply(x: CycNum, y: CycNum) -> CycNum:
-    return x * y
-
-
-def negate(x: CycNum) -> CycNum:
-    return -x
-
-
-def equals(x: CycNum, y) -> bool:
-    return x == y
-
-
-def invert(x: CycNum) -> CycNum:
-    return x.inverse()
-
-
-def embed_conductor(x: CycNum, conductor: int) -> CycNum:
-    return x.embed(conductor)
-
-
-def galois_apply(x: CycNum, k: int) -> CycNum:
-    return x.galois(k)
-
-
-def as_rational(x: CycNum) -> Fraction | None:
-    return x.as_rational()

@@ -180,18 +180,6 @@ class CycMatrix:
         return "[" + "; ".join(", ".join(str(x) for x in row) for row in self.rows) + "]"
 
 
-def identity(n: int, conductor: int = 1) -> CycMatrix:
-    return CycMatrix.identity(n, conductor)
-
-
-def multiply(a: CycMatrix, b: CycMatrix) -> CycMatrix:
-    return a * b
-
-
-def trace(a: CycMatrix) -> CycNum:
-    return a.trace()
-
-
 def kron(a: CycMatrix, b: CycMatrix) -> CycMatrix:
     """Tensor (Kronecker) product, index order (i1*nb + i2, j1*nb + j2)."""
     a, b = a._unify(b)
@@ -330,6 +318,15 @@ class MatrixGroup:
         self.generators = tuple(g.embed(cond) for g in gens)
         self.cap = cap
         self._elements: tuple[CycMatrix, ...] | None = None
+
+    @classmethod
+    def from_elements(cls, generators, elements) -> MatrixGroup:
+        """The group with its elements already enumerated (as ``closure``
+        returns them for these generators), so they are not enumerated
+        again."""
+        group = cls(generators)
+        group._elements = tuple(elements)
+        return group
 
     def elements(self) -> tuple[CycMatrix, ...]:
         if self._elements is None:

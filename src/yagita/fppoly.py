@@ -217,22 +217,6 @@ class FpPoly:
         return f"FpPoly({self.p}, {self.coeffs})"
 
 
-def multiply(f: FpPoly, g: FpPoly) -> FpPoly:
-    return f * g
-
-
-def evaluate(f: FpPoly, r: int) -> int:
-    return f.evaluate(r)
-
-
-def exponent_gcd(f: FpPoly):
-    return f.exponent_gcd()
-
-
-def all_roots_in_units(f: FpPoly) -> tuple[bool, Counter]:
-    return f.all_roots_in_units()
-
-
 def mp_q_decompose(n: int, p: int) -> tuple[int, int]:
     """Write n = m * p**q with p not dividing m; returns (m, q)."""
     if n < 1:
@@ -251,7 +235,6 @@ class Prop6Verdict:
     gcd: int
     m: int
     q: int
-    holds: bool
 
 
 def check_prop6(f: FpPoly) -> Prop6Verdict:
@@ -268,13 +251,12 @@ def check_prop6(f: FpPoly) -> Prop6Verdict:
         raise ValueError("polynomial has roots outside F_p^x")
     n = f.exponent_gcd()
     m, q = mp_q_decompose(int(n), f.p)
-    holds = (f.p - 1) % m == 0
-    if not holds:
+    if (f.p - 1) % m:
         raise ArithmeticError(
             f"exponent gcd {n} = {m}*{f.p}^{q} with {m} not dividing {f.p - 1}; "
             "this indicates an arithmetic bug"
         )
-    return Prop6Verdict(int(n), m, q, holds)
+    return Prop6Verdict(int(n), m, q)
 
 
 def random_unit_root_product(p: int, rng, max_factors: int = 10) -> FpPoly:

@@ -32,8 +32,13 @@ from .exactmat import DEFAULT_CAP, MatrixGroup, order_p_cyclic_subgroups
 from .fppoly import INFINITY, mp_q_decompose
 from .formulas import yagita_gl, yagita_sl, yagita_sl_Z
 from .numutil import is_prime
-from .ringspec import RingSpec, compute_l, is_rational_integers, ring_name
-from .witness import MenuEntry, VerifiedWitness, verify_embedding, witness_menu
+from .ringspec import RingSpec, compute_l, is_rational_integers
+from .witness import (
+    VerifiedWitness,
+    WitnessEmbedding,
+    verify_embedding,
+    witness_menu,
+)
 
 PASS = "Pass"
 PASS_WITH_AMBIGUITY = "PassWithAmbiguity"
@@ -43,40 +48,49 @@ FAIL = "Fail"
 MAX_PRIME = 10**4
 MAX_N = 4096
 
-_verified_cache: dict[tuple, VerifiedWitness] = {}
-_chern_cache: dict[tuple, tuple] = {}
+
+@dataclass(frozen=True)
+class _Checked:
+    """What verify_case keeps of one verified witness: the verification
+    outcome, the closure order and, for a witness that verified, one Chern
+    row per order-p cyclic subgroup (independent of the ambient n).  The
+    enumerated elements are not kept."""
+
+    ok: bool
+    order: int
+    chern_rows: tuple
 
 
-def _verified(entry: MenuEntry, cap: int) -> VerifiedWitness:
-    w = entry.embedding
+# keyed by (kind, ring, padded, dimension, cap); the kind implies p
+_checked: dict[tuple, _Checked] = {}
+
+
+def _check(w: WitnessEmbedding, p: int, cap: int) -> _Checked:
     key = (str(w.kind), w.ring, w.padded, w.dimension, cap)
-    if key not in _verified_cache:
-        _verified_cache[key] = verify_embedding(w, cap)
-    return _verified_cache[key]
+    if key not in _checked:
+        vw = verify_embedding(w, cap)
+        rows = _chern_scan(vw, p) if vw.ok else ()
+        _checked[key] = _Checked(vw.ok, vw.order, rows)
+    return _checked[key]
 
 
-def _chern_scan(vw: VerifiedWitness, p: int, cap: int) -> tuple:
+def _chern_scan(vw: VerifiedWitness, p: int) -> tuple:
     """Per order-p cyclic subgroup of a verified witness: the Chern divisor
-    bound, its m * p^q decomposition, and the x^l rationality flag.
-    Independent of the ambient n, so cached per witness."""
+    bound, its m * p^q decomposition, and the x^l rationality flag."""
     w = vw.embedding
-    key = (str(w.kind), w.ring, w.padded, w.dimension, p)
-    if key not in _chern_cache:
-        group = MatrixGroup(w.generators, cap)
-        group._elements = vw.elements
-        l_w = compute_l(w.ring, p)
-        rows = []
-        for idx, mrep in enumerate(order_p_cyclic_subgroups(group, p)):
-            nu = n_upper(mrep, p)
-            if nu == INFINITY:
-                rows.append((idx, "infinity", "infinity", "infinity", True, True))
-            else:
-                m_part, q_part = mp_q_decompose(int(nu), p)
-                prop_ok = (p - 1) % m_part == 0
-                rat_ok = int(nu) % l_w == 0
-                rows.append((idx, int(nu), m_part, q_part, prop_ok, rat_ok))
-        _chern_cache[key] = tuple(rows)
-    return _chern_cache[key]
+    group = MatrixGroup.from_elements(w.generators, vw.elements)
+    l_w = compute_l(w.ring, p)
+    rows = []
+    for idx, mrep in enumerate(order_p_cyclic_subgroups(group, p)):
+        nu = n_upper(mrep, p)
+        if nu == INFINITY:
+            rows.append((idx, "infinity", "infinity", "infinity", True, True))
+        else:
+            m_part, q_part = mp_q_decompose(int(nu), p)
+            prop_ok = (p - 1) % m_part == 0
+            rat_ok = int(nu) % l_w == 0
+            rows.append((idx, int(nu), m_part, q_part, prop_ok, rat_ok))
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -138,7 +152,7 @@ def verify_case(
     certified = 1
     for entry in menu:
         w = entry.embedding
-        vw = _verified(entry, cap)
+        checked = _check(w, p, cap)
         # a verified embedding transports its group's known invariant into
         # GL_n, so that invariant must divide the GL formula value
         ambient = yagita_gl(p, w.dimension, compute_l(w.ring, p))
@@ -148,17 +162,17 @@ def verify_case(
                 kind=str(w.kind) + ("+pad" if w.padded else ""),
                 dimension=w.dimension,
                 padded=w.padded,
-                verified=vw.ok,
+                verified=checked.ok,
                 oracle=w.expected_yagita,
-                order=vw.order,
+                order=checked.order,
                 oracle_divides_formula=oracle_ok,
             )
         )
-        if not vw.ok or not oracle_ok:
+        if not checked.ok or not oracle_ok:
             hard_fail = True
             continue
         certified = math.lcm(certified, w.expected_yagita)
-        for idx, nu, m_part, q_part, prop_ok, rat_ok in _chern_scan(vw, p, cap):
+        for idx, nu, m_part, q_part, prop_ok, rat_ok in checked.chern_rows:
             divides = nu == "infinity" or gl_value % (2 * nu) == 0
             if not (prop_ok and rat_ok and divides):
                 hard_fail = True
@@ -185,7 +199,7 @@ def verify_case(
     return VerificationReport(
         p=p,
         n=n,
-        ring=ring_name(ring),
+        ring=str(ring),
         l=l,
         sl=sl,
         formula_value=value,
@@ -260,10 +274,6 @@ def report_to_dict(report: VerificationReport) -> dict:
 
 def report_to_json(report: VerificationReport) -> str:
     return json.dumps(report_to_dict(report), indent=2, sort_keys=True)
-
-
-def report_from_json(text: str) -> dict:
-    return json.loads(text)
 
 
 def exit_code(verdict: str) -> int:

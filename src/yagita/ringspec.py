@@ -197,7 +197,3 @@ def parse_ring(text: str) -> RingSpec:
     except ValueError as exc:
         raise UnsupportedFieldError(f"bad ring spec {text!r}: {exc}") from exc
     raise UnsupportedFieldError(f"cannot parse ring spec {text!r}")
-
-
-def ring_name(ring: RingSpec) -> str:
-    return str(ring)

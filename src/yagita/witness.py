@@ -43,7 +43,6 @@ from .exactmat import (
     block_diag,
     closure,
     det,
-    identity,
     kron,
     relations_check,
 )
@@ -158,19 +157,12 @@ def _least_unit_of_order(p: int, m: int) -> int:
     raise WitnessError(f"no unit of order {m} mod {p}")
 
 
-def _shift_matrix(n: int) -> CycMatrix:
-    """Cyclic shift e_j -> e_(j-1 mod n) (an n-cycle, determinant (-1)^(n-1))."""
+def _shift_matrix(n: int, step: int) -> CycMatrix:
+    """Cyclic shift e_j -> e_(j+step mod n) (for step = +-1 an n-cycle,
+    determinant (-1)^(n-1))."""
     rows = [[0] * n for _ in range(n)]
     for j in range(n):
-        rows[(j - 1) % n][j] = 1
-    return CycMatrix(rows)
-
-
-def _up_shift_matrix(n: int) -> CycMatrix:
-    """Cyclic shift e_j -> e_(j+1 mod n)."""
-    rows = [[0] * n for _ in range(n)]
-    for j in range(n):
-        rows[(j + 1) % n][j] = 1
+        rows[(j + step) % n][j] = 1
     return CycMatrix(rows)
 
 
@@ -205,7 +197,7 @@ def build_g1(p: int, m: int, ring: RingSpec) -> WitnessEmbedding:
         # monomial model: conjugation by the shift cycles the diagonal
         # exponents through g^0, g^1, ..., g^(m-1)
         a = CycMatrix.diagonal([zeta(p, pow(g, i, p)) for i in range(m)])
-        b = _shift_matrix(m)
+        b = _shift_matrix(m, -1)
     else:
         raise UnsupportedFieldError(
             f"no integral model over {ring} (l = {l}); supported: Z and rings "
@@ -307,21 +299,17 @@ def sl_pad(w: WitnessEmbedding) -> WitnessEmbedding:
 # extraspecial witnesses
 
 
-@functools.lru_cache(maxsize=None)
-def build_extraspecial_monomial(p: int, m: int) -> WitnessEmbedding:
-    """The extraspecial group of order p^(2m+1) and exponent p (p odd) in
-    its p^m-dimensional monomial representation over Z[zeta_p].
+def _tensor_extraspecial(
+    p: int, m: int, x: CycMatrix, z: CycMatrix, c, ring: RingSpec
+) -> WitnessEmbedding:
+    """The extraspecial group of order p^(2m+1) on the m-fold tensor power
+    of p-dimensional blocks x and z of order p with z x = c x z.
 
-    Slot i carries X_i (p-cycle) and Z_i (diagonal of zeta_p powers);
-    Z_i X_i = zeta_p X_i Z_i within a slot and everything else commutes.
+    Slot i carries X_i and Z_i (the block there, the identity in every
+    other slot); Z_i X_i = c X_i Z_i within a slot and everything else
+    commutes.
     """
-    if not is_prime(p) or p == 2:
-        raise WitnessError("need an odd prime p")
-    if m < 1 or p**m > MAX_MATRIX_SIZE:
-        raise WitnessError(f"p^m = {p**m} exceeds the matrix-size cap")
-    shift = _up_shift_matrix(p)
-    diag = CycMatrix.diagonal([zeta(p, i) for i in range(p)])
-    eye = identity(p, p)
+    eye = CycMatrix.identity(p, math.lcm(x.conductor, z.conductor))
 
     def at_slot(block: CycMatrix, slot: int) -> CycMatrix:
         out = block if slot == 0 else eye
@@ -329,8 +317,8 @@ def build_extraspecial_monomial(p: int, m: int) -> WitnessEmbedding:
             out = kron(out, block if slot == i else eye)
         return out
 
-    xs = [at_slot(shift, i) for i in range(m)]
-    zs = [at_slot(diag, i) for i in range(m)]
+    xs = [at_slot(x, i) for i in range(m)]
+    zs = [at_slot(z, i) for i in range(m)]
     gens = tuple(xs + zs)
     relators: list[Word] = []
     for i in range(2 * m):
@@ -343,12 +331,12 @@ def build_extraspecial_monomial(p: int, m: int) -> WitnessEmbedding:
         for j in range(m):
             if i != j:
                 relators.append(_commutator_word(i, m + j))  # X_i with Z_j
-    scalar = zeta(p, 1) * identity(p**m, p)
+    scalar = c * CycMatrix.identity(p**m, eye.conductor)
     central = tuple((m + i, i, scalar) for i in range(m))
     kind = WitnessKind("E", p, m)
     return WitnessEmbedding(
         kind=kind,
-        ring=Cyclotomic(p),
+        ring=ring,
         dimension=p**m,
         generators=gens,
         expected_order=p ** (2 * m + 1),
@@ -360,6 +348,24 @@ def build_extraspecial_monomial(p: int, m: int) -> WitnessEmbedding:
     )
 
 
+@functools.lru_cache(maxsize=None)
+def build_extraspecial_monomial(p: int, m: int) -> WitnessEmbedding:
+    """The extraspecial group of order p^(2m+1) and exponent p (p odd) in
+    its p^m-dimensional monomial representation over Z[zeta_p].
+
+    Slot i carries X_i (p-cycle) and Z_i (diagonal of zeta_p powers);
+    Z_i X_i = zeta_p X_i Z_i within a slot and everything else commutes.
+    """
+    if not is_prime(p) or p == 2:
+        raise WitnessError("need an odd prime p")
+    if m < 1 or p**m > MAX_MATRIX_SIZE:
+        raise WitnessError(f"p^m = {p**m} exceeds the matrix-size cap")
+    diag = CycMatrix.diagonal([zeta(p, i) for i in range(p)])
+    return _tensor_extraspecial(
+        p, m, _shift_matrix(p, 1), diag, zeta(p, 1), Cyclotomic(p)
+    )
+
+
 def blow_up_matrix(mat: CycMatrix, p: int) -> CycMatrix:
     """Restriction of scalars for one matrix over Z[zeta_p]: each entry
     a = sum c_k zeta^k becomes the integer block sum c_k R^k, with R the
@@ -368,7 +374,7 @@ def blow_up_matrix(mat: CycMatrix, p: int) -> CycMatrix:
     if not is_prime(p):
         raise WitnessError(f"conductor {p} is not prime")
     reg = regular_rep_zeta(p)
-    powers = [identity(p - 1)]
+    powers = [CycMatrix.identity(p - 1)]
     for _ in range(p - 2):
         powers.append(powers[-1] * reg)
     zero = CycNum.rational(0)
@@ -430,10 +436,10 @@ def build_e2m_integer(m: int) -> WitnessEmbedding:
 
     m = 1 is the dihedral group of order 8 itself in GL_2(Z) (one generator
     has determinant -1; ``sl_pad`` gives the SL_3 form).  For m >= 2 the
-    generators are tensor products of the swap S and sign D blocks; the
-    defining facts (closure order, center {+-I}, all determinants 1) are
-    verified at construction time for the desk-scale sizes instead of being
-    trusted.
+    generators are tensor products of the swap S and sign D blocks.  Like
+    every other builder this only constructs: the defining facts (closure
+    order, presentation, center {+-I}, all determinants 1) are checked by
+    ``verify_embedding``, which the harness and the CLI run on every witness.
     """
     if m < 1 or 2**m > MAX_MATRIX_SIZE:
         raise WitnessError(f"2^m = {2**m} exceeds the matrix-size cap")
@@ -454,49 +460,7 @@ def build_e2m_integer(m: int) -> WitnessEmbedding:
         )
     swap = CycMatrix([[0, 1], [1, 0]])
     sign = CycMatrix([[1, 0], [0, -1]])
-    eye = identity(2)
-
-    def at_slot(block: CycMatrix, slot: int) -> CycMatrix:
-        out = block if slot == 0 else eye
-        for i in range(1, m):
-            out = kron(out, block if slot == i else eye)
-        return out
-
-    xs = [at_slot(swap, i) for i in range(m)]
-    zs = [at_slot(sign, i) for i in range(m)]
-    gens = tuple(xs + zs)
-    relators: list[Word] = []
-    for i in range(2 * m):
-        relators.append(((i, 2),))
-    for i in range(m):
-        for j in range(i + 1, m):
-            relators.append(_commutator_word(i, j))
-            relators.append(_commutator_word(m + i, m + j))
-    for i in range(m):
-        for j in range(m):
-            if i != j:
-                relators.append(_commutator_word(i, m + j))
-    minus_eye = -1 * identity(2**m)
-    central = tuple((m + i, i, minus_eye) for i in range(m))
-    kind = WitnessKind("E", 2, m)
-    w = WitnessEmbedding(
-        kind=kind,
-        ring=RationalIntegers(),
-        dimension=2**m,
-        generators=gens,
-        expected_order=2 ** (2 * m + 1),
-        expected_yagita=oracle_yagita(kind),
-        claims_sl=True,
-        relators=tuple(relators),
-        central_commutations=central,
-        expected_center=2,
-    )
-    if m <= 3:  # construction-time check at desk scale; larger sizes are
-        # verified on demand by verify_embedding
-        vw = verify_embedding(w)
-        if not vw.ok:
-            raise WitnessError(f"generator recipe failed verification: {vw}")
-    return w
+    return _tensor_extraspecial(2, m, swap, sign, -1, RationalIntegers())
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,6 +1,9 @@
 import json
 
+import pytest
+
 from yagita.cli import main
+from yagita.exactmat import CycMatrix
 from yagita.witness import build_extraspecial_monomial
 
 
@@ -102,3 +105,66 @@ def test_bad_prime_errors(capsys):
 def test_error_path_returns_1(capsys):
     code = main(["chern", "--matrix-file", "/nonexistent.json", "--prime", "3"])
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--prime", "3", "--n", "6", "--cap", "5"],
+        ["witness", "--kind", "q8", "--cap", "5"],
+    ],
+)
+def test_cap_exceeded_exits_1(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: group closure exceeded cap 5\n"
+
+
+def _entry(conductor=1, num=(0,), den=1):
+    return {"conductor": conductor, "num": list(num), "den": den}
+
+
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        (
+            {"size": 70, "conductor": 1, "entries": [[_entry()] * 70] * 70},
+            "matrix size 70 exceeds the cap 64",
+        ),
+        (
+            {"size": 1, "conductor": 10007, "entries": [[_entry(10007)]]},
+            "conductor 10007 exceeds the cap 10000",
+        ),
+        (  # each conductor is in bounds, their lcm is not
+            {"size": 2, "conductor": 1,
+             "entries": [[_entry(101), _entry()], [_entry(), _entry(103)]]},
+            "conductor 10403 exceeds the cap 10000",
+        ),
+        (
+            {"size": 1, "conductor": 1, "entries": [[_entry(1, (1,), 0)]]},
+            "zero denominator",
+        ),
+        (
+            {"size": 2, "conductor": 1, "entries": [[_entry(), _entry()], [_entry()]]},
+            "matrix must be square and nonempty",
+        ),
+        (
+            {"size": 1, "conductor": 1, "entries": [[{"num": [1], "den": 1}]]},
+            "malformed matrix file: KeyError('conductor')",
+        ),
+    ],
+)
+def test_chern_rejects_bad_matrix_file(tmp_path, capsys, monkeypatch, matrix, message):
+    f = tmp_path / "m.json"
+    f.write_text(json.dumps(matrix), encoding="utf-8")
+    if "cap" in message:
+        # the bounds are checked before any entry becomes a number
+        def no_parse(obj):
+            raise AssertionError("matrix parsed before its bounds were checked")
+
+        monkeypatch.setattr(CycMatrix, "from_json", no_parse)
+    assert main(["chern", "--matrix-file", str(f), "--prime", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"

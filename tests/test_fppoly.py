@@ -71,20 +71,20 @@ def test_check_prop6_product_of_all_units_mod_5():
     # elementary symmetric functions of {1,2,3,4} vanish mod 5 except e4 = 4
     assert f.coeffs == (1, 0, 0, 0, 4)
     v = check_prop6(f)
-    assert (v.gcd, v.m, v.q, v.holds) == (4, 4, 0, True)
+    assert (v.gcd, v.m, v.q, (5 - 1) % v.m) == (4, 4, 0, 0)
 
 
 def test_check_prop6_cube_over_f3():
     f = FpPoly.one_plus_ax(3, 1) ** 3
     assert f.coeffs == (1, 0, 0, 1)  # binomial coefficients vanish mod 3
     v = check_prop6(f)
-    assert (v.gcd, v.m, v.q, v.holds) == (3, 1, 1, True)
+    assert (v.gcd, v.m, v.q, (3 - 1) % v.m) == (3, 1, 1, 0)
 
 
 def test_check_prop6_two_factor_example():
     f = FpPoly(3, (1, 0, 2))
     v = check_prop6(f)
-    assert (v.gcd, v.m, v.q, v.holds) == (2, 2, 0, True)
+    assert (v.gcd, v.m, v.q, (3 - 1) % v.m) == (2, 2, 0, 0)
 
 
 def test_check_prop6_preconditions():
@@ -99,7 +99,7 @@ def test_prop6_random_products(p):
     rng = random.Random(20240 + p)
     for _ in range(200):
         f = random_unit_root_product(p, rng)
-        assert check_prop6(f).holds
+        assert (p - 1) % check_prop6(f).m == 0
 
 
 small_primes = st.sampled_from([2, 3, 5, 7])

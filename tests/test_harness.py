@@ -1,14 +1,17 @@
+import dataclasses
 import json
+from collections import Counter
 
 import pytest
 
+from yagita import harness, witness
+from yagita.exactmat import CycMatrix
 from yagita.harness import (
     FAIL,
     INCOMPLETE,
     PASS,
     PASS_WITH_AMBIGUITY,
     exit_code,
-    report_from_json,
     report_to_dict,
     report_to_json,
     table,
@@ -16,6 +19,7 @@ from yagita.harness import (
     verify_case,
 )
 from yagita.ringspec import Cyclotomic, QuadraticOrder, RationalIntegers
+from yagita.witness import witness_menu
 
 Z = RationalIntegers()
 
@@ -78,7 +82,7 @@ def test_verify_case_unbuildable_ring_is_incomplete():
 def test_report_json_round_trip_and_strings():
     r = verify_case(3, 6, Z)
     blob = report_to_json(r)
-    parsed = report_from_json(blob)
+    parsed = json.loads(blob)
     assert json.dumps(parsed, indent=2, sort_keys=True) == blob
     assert parsed["formula_value"] == "12"
     assert parsed["certified_lower"] == "12"
@@ -134,3 +138,36 @@ def test_guards():
         verify_case(3, 5000, Z)
     with pytest.raises(ValueError):
         table(3, Z, 5000)
+
+
+def _matrices_in(obj):
+    if isinstance(obj, CycMatrix):
+        yield obj
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from _matrices_in(getattr(obj, f.name))
+    elif isinstance(obj, (tuple, list)):
+        for x in obj:
+            yield from _matrices_in(x)
+
+
+def test_each_witness_verified_once_and_no_elements_cached(monkeypatch):
+    calls = Counter()
+    real = witness.verify_embedding
+
+    def counted(w, *args, **kwargs):
+        calls[str(w)] += 1
+        return real(w, *args, **kwargs)
+
+    monkeypatch.setattr(witness, "verify_embedding", counted)
+    monkeypatch.setattr(harness, "verify_embedding", counted)
+    monkeypatch.setattr(harness, "_checked", {})
+    witness.build_e2m_integer.cache_clear()  # build from cold, as a new process does
+    for sl, n_min in ((False, 1), (True, 2)):
+        for n in range(n_min, 5):
+            assert verify_case(2, n, Z, sl=sl).verdict != FAIL
+    distinct = {str(e.embedding) for n in range(1, 5) for e in witness_menu(2, n, Z)}
+    assert len(distinct) == 3  # D8, its SL pad and E(2,2)
+    assert dict(calls) == dict.fromkeys(distinct, 1)
+    assert len(harness._checked) == len(distinct)
+    assert [m for v in harness._checked.values() for m in _matrices_in(v)] == []

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from yagita.cyclo import CycNum, zeta
-from yagita.exactmat import CycMatrix, closure, det, identity
+from yagita.exactmat import CycMatrix, closure, det
 from yagita.ringspec import (
     Cyclotomic,
     QuadraticOrder,
@@ -44,7 +44,7 @@ def test_regular_rep_realizes_multiplication_by_zeta():
     # the matrix must satisfy the minimal polynomial of zeta_p
     for p in (3, 5, 7):
         m = regular_rep_zeta(p)
-        acc = identity(p - 1)
+        acc = CycMatrix.identity(p - 1)
         total = acc
         for _ in range(p - 1):
             acc = acc * m
@@ -57,7 +57,7 @@ def test_regular_rep_realizes_multiplication_by_zeta():
 
 
 def test_galois_rep_small():
-    assert galois_rep(3, 1) == identity(2)
+    assert galois_rep(3, 1) == CycMatrix.identity(2)
     assert galois_rep(3, 2) == CycMatrix([[1, -1], [0, -1]])
 
 
@@ -147,7 +147,7 @@ def test_extraspecial_monomial():
     assert vw.ok and vw.order == 27
     assert all(det(m) == 1 for m in vw.elements)
     # the center is exactly the scalar matrices zeta^k I
-    scalars = [zeta(3, k) * identity(3, 3) for k in range(3)]
+    scalars = [zeta(3, k) * CycMatrix.identity(3, 3) for k in range(3)]
     central = [m for m in vw.elements if all(g * m == m * g for g in w.generators)]
     assert len(central) == 3
     for m in central:
@@ -176,7 +176,7 @@ def test_blow_up_matrix_is_multiplicative():
             [[zeta(3, rng.randrange(3)) * rng.randint(-2, 2) for _ in range(2)] for _ in range(2)]
         )
         assert blow_up_matrix(a * b, 3) == blow_up_matrix(a, 3) * blow_up_matrix(b, 3)
-    assert blow_up_matrix(identity(2, 3), 3) == identity(4)
+    assert blow_up_matrix(CycMatrix.identity(2, 3), 3) == CycMatrix.identity(4)
 
 
 def test_blow_up_multiplicative_on_witness_generators():
@@ -215,8 +215,8 @@ def test_q8():
     i4 = zeta(4)
     k_mat = CycMatrix([[0, -i4], [-i4, 0]])
     assert a * b == k_mat
-    minus_eye = -1 * identity(2)
-    assert (minus_eye * minus_eye) == identity(2)
+    minus_eye = -1 * CycMatrix.identity(2)
+    assert (minus_eye * minus_eye) == CycMatrix.identity(2)
     assert all(det(m) == 1 for m in vw.elements)
 
 
