@@ -25,24 +25,25 @@ m = regular_rep_zeta(5)
 e = eigen_exponents(m, 5)
 print("  eigenvalue exponents:", e.as_dict())
 print("  total Chern class:  ", total_chern(e))
-print("  exponent gcd (n_upper):", n_upper(m, 5))
+print("  exponent gcd (n_upper):", n_upper(e))
 
 print()
 print("the central element zeta_3 * I of the order-27 group:")
 c = zeta(3) * CycMatrix.identity(3, 3)
-print("  exponents:", eigen_exponents(c, 3).as_dict())
-print("  total Chern class:", total_chern(eigen_exponents(c, 3)))
-print("  n_upper:", n_upper(c, 3))
+e = eigen_exponents(c, 3)
+print("  exponents:", e.as_dict())
+print("  total Chern class:", total_chern(e))
+print("  n_upper:", n_upper(e))
 
 print()
 print("identity matrices impose no constraint at all:")
-print("  n_upper(I_3 at p=3):", n_upper(CycMatrix.identity(3), 3))
+print("  n_upper(I_3 at p=3):", n_upper(eigen_exponents(CycMatrix.identity(3), 3)))
 
 print()
 print("scanning all 13 order-3 subgroups of the order-27 witness:")
 w = build_extraspecial_monomial(3, 1)
 g = MatrixGroup(w.generators)
 for i, rep in enumerate(order_p_cyclic_subgroups(g, 3)):
-    print(f"  subgroup {i:2d}: n_upper = {n_upper(rep, 3)}")
+    print(f"  subgroup {i:2d}: n_upper = {n_upper(eigen_exponents(rep, 3))}")
 print("lcm of 2*n_upper over subgroups:", yagita_upper_witness(g, 3))
 print("(the group invariant 6 divides it, as it must)")

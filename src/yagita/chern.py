@@ -2,9 +2,9 @@
 
 An order-p matrix splits over C into one-dimensional eigenspaces with
 eigenvalues zeta_p**a; the multiplicity of each exponent a is recovered
-exactly by character orthogonality from the traces of the matrix powers
-(no polynomial factorization needed).  The total Chern class of the
-corresponding representation of the cyclic group is then the product of
+exactly by character orthogonality from one trace and its Galois
+conjugates (no polynomial factorization needed).  The total Chern class of
+the corresponding representation of the cyclic group is then the product of
 (1 + a*x)^(multiplicity of a) over F_p, and the gcd of its exponents is an
 upper-bound divisor for how deep the restricted cohomology image can sit.
 """
@@ -52,22 +52,23 @@ def eigen_exponents(m: CycMatrix, p: int) -> EigenExponents:
     """Exact eigenvalue-exponent multiplicities of a matrix with m**p = I.
 
     multiplicity(a) = (1/p) * sum_k trace(m**k) * zeta_p**(-a k), evaluated
-    in the cyclotomic field of conductor lcm(conductor, p).  Each value must
-    be a nonnegative rational integer and they must sum to the size.
+    in the cyclotomic field of conductor N = lcm(conductor, p).  As the
+    eigenvalues are p-th roots of unity, trace(m**k) is the image of trace(m)
+    under zeta_N -> zeta_N**c for a unit c = k mod p.  Each value must be a
+    nonnegative rational integer and they must sum to the size.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     n = m.size
-    ident = CycMatrix.identity(n, m.conductor)
-    powers = [ident]
-    x = m
-    for _ in range(p - 1):
-        powers.append(x)
-        x = x * m
-    if x != ident:
+    if m**p != CycMatrix.identity(n, m.conductor):
         raise ValueError("matrix does not satisfy m**p = identity")
     cond = math.lcm(m.conductor, p)
-    traces = [q.trace().embed(cond) for q in powers]
+    tr = m.trace().embed(cond)
+    traces = [CycNum.rational(n)]
+    for k in range(1, p):
+        # k + p*j meets every residue mod the prime-to-p part of cond
+        c = next(c for c in range(k, cond + k, p) if math.gcd(c, cond) == 1)
+        traces.append(tr.galois(c))
     step = cond // p  # zeta_cond**step is a primitive p-th root of unity
     mults = []
     for a in range(p):
@@ -95,18 +96,18 @@ def total_chern(e: EigenExponents) -> FpPoly:
     return f
 
 
-def n_upper(m: CycMatrix, p: int):
-    """Exponent gcd of the total Chern class of the matrix: every group
-    mapping into the ambient general linear group and containing this
-    order-p element has its depth invariant n(C) dividing this value.
-    INFINITY for a trivially acting element (no constraint)."""
-    return total_chern(eigen_exponents(m, p)).exponent_gcd()
+def n_upper(e: EigenExponents):
+    """Exponent gcd of the total Chern class of an order-p matrix with these
+    eigen exponents: every group mapping into the ambient general linear
+    group and containing that element has its depth invariant n(C) dividing
+    this value.  INFINITY for a trivially acting element (no constraint)."""
+    return total_chern(e).exponent_gcd()
 
 
 def rationality_check(m: CycMatrix, p: int, l: int) -> bool:
     """Whether the total Chern class is a polynomial in x**l, as it must be
     for an order-p element arising over a field with [F(zeta_p):F] = l."""
-    g = n_upper(m, p)
+    g = n_upper(eigen_exponents(m, p))
     if g == INFINITY:
         return True
     return g % l == 0
@@ -121,7 +122,7 @@ def yagita_upper_witness(group: MatrixGroup, p: int):
     reps = order_p_cyclic_subgroups(group, p)
     finite = []
     for m in reps:
-        v = n_upper(m, p)
+        v = n_upper(eigen_exponents(m, p))
         if v != INFINITY:
             finite.append(2 * int(v))
     return math.lcm(*finite) if finite else 1

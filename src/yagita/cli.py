@@ -27,7 +27,7 @@ from .harness import (
     table_tsv,
     verify_case,
 )
-from .numutil import is_prime
+from .numutil import euler_phi, is_prime
 from .ringspec import RationalIntegers, compute_l, contains_zeta_p, parse_ring
 from .witness import (
     WitnessError,
@@ -127,9 +127,9 @@ def _cmd_witness(args) -> int:
 
 
 def _read_matrix(path: str) -> CycMatrix:
-    """Read a matrix file, bounding its size and the lcm of its conductors
-    before any arithmetic: an entry over conductor N is a tuple of length
-    phi(N)."""
+    """Read a matrix file, bounding its size, the lcm of its conductors and
+    the length of each entry before any arithmetic: an entry over conductor
+    N is a list of at most phi(N) coefficients."""
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
     try:
@@ -143,6 +143,16 @@ def _read_matrix(path: str) -> CycMatrix:
             cond = math.lcm(cond, int(c))
             if cond > MAX_PRIME:
                 raise ValueError(f"conductor {cond} exceeds the cap {MAX_PRIME}")
+        for x in (x for row in rows for x in row):
+            num, n = x["num"], int(x["conductor"])
+            if n < 1:
+                raise ValueError(f"conductor {n} is not positive")
+            if not isinstance(num, list):
+                raise TypeError("entry num is not a list")
+            if len(num) > euler_phi(n):
+                raise ValueError(
+                    f"entry num of length {len(num)} exceeds the cap phi({n}) = {euler_phi(n)}"
+                )
         return CycMatrix.from_json(obj)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed matrix file: {exc!r}") from None
@@ -153,7 +163,7 @@ def _cmd_chern(args) -> int:
     m = _read_matrix(args.matrix_file)
     exps = eigen_exponents(m, p)
     tc = total_chern(exps)
-    nu = n_upper(m, p)
+    nu = n_upper(exps)
     nu_text = "infinity" if nu == INFINITY else str(int(nu))
     if args.json:
         print(

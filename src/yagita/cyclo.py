@@ -18,7 +18,7 @@ import functools
 import math
 from fractions import Fraction
 
-from .numutil import divisors, euler_phi
+from .numutil import divisors, euler_phi, power
 
 __all__ = ["CycNum", "zeta", "cyclotomic_poly"]
 
@@ -336,14 +336,7 @@ class CycNum:
     def __pow__(self, e: int) -> CycNum:
         if e < 0:
             return self.inverse() ** (-e)
-        out = CycNum(self.conductor, (1,))
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return power(self, e) if e else CycNum(self.conductor, (1,))
 
     def __eq__(self, other) -> bool:
         o = self._coerce(other)

@@ -14,6 +14,7 @@ import math
 from fractions import Fraction
 
 from .cyclo import CycNum
+from .numutil import power
 
 DEFAULT_CAP = 10**6
 MAX_MATRIX_SIZE = 64
@@ -117,14 +118,7 @@ class CycMatrix:
     def __pow__(self, e: int) -> CycMatrix:
         if e < 0:
             return inverse_of_finite_order(self) ** (-e)
-        out = CycMatrix.identity(self.size, self.conductor)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return power(self, e) if e else CycMatrix.identity(self.size, self.conductor)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CycMatrix):
@@ -338,29 +332,24 @@ class MatrixGroup:
 
 
 def order_p_cyclic_subgroups(group: MatrixGroup, p: int) -> list[CycMatrix]:
-    """One generator per distinct cyclic subgroup of order p.
+    """One generator per distinct cyclic subgroup of order p: the first of
+    its elements in enumeration order.
 
-    Scans the enumerated elements for those of order exactly p and
-    deduplicates subgroups by the set of their p member matrices.
+    Two distinct subgroups of prime order meet only in the identity, so an
+    element of a subgroup already found is skipped without an order test.
     """
     elems = group.elements()
-    n = elems[0].size
-    ident = CycMatrix.identity(n, elems[0].conductor)
+    ident = CycMatrix.identity(elems[0].size, elems[0].conductor)
     reps: list[CycMatrix] = []
-    seen: set[frozenset] = set()
+    covered = {ident.key()}  # and m**2 .. m**(p-1) of each m in reps
     for m in elems:
-        if m == ident or (m**p) != ident:
+        if m.key() in covered or m**p != ident:
             continue
-        powers = [ident]
-        x = m
-        for _ in range(p - 1):
-            powers.append(x)
-            x = x * m
-        key = frozenset(q.key() for q in powers)
-        if key in seen:
-            continue
-        seen.add(key)
         reps.append(m)
+        x = m
+        for _ in range(p - 2):
+            x = x * m
+            covered.add(x.key())
     return reps
 
 

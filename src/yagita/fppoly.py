@@ -20,7 +20,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 
-from .numutil import is_prime
+from .numutil import is_prime, power
 
 INFINITY = math.inf
 
@@ -120,14 +120,7 @@ class FpPoly:
     def __pow__(self, e: int) -> FpPoly:
         if e < 0:
             raise ValueError("negative powers of polynomials are undefined")
-        out = FpPoly.one(self.p)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return power(self, e) if e else FpPoly.one(self.p)
 
     def _coerce(self, other) -> FpPoly:
         if isinstance(other, FpPoly):

@@ -27,7 +27,7 @@ import json
 import math
 from dataclasses import asdict, dataclass
 
-from .chern import n_upper
+from .chern import eigen_exponents, n_upper
 from .exactmat import DEFAULT_CAP, MatrixGroup, order_p_cyclic_subgroups
 from .fppoly import INFINITY, mp_q_decompose
 from .formulas import yagita_gl, yagita_sl, yagita_sl_Z
@@ -82,7 +82,7 @@ def _chern_scan(vw: VerifiedWitness, p: int) -> tuple:
     l_w = compute_l(w.ring, p)
     rows = []
     for idx, mrep in enumerate(order_p_cyclic_subgroups(group, p)):
-        nu = n_upper(mrep, p)
+        nu = n_upper(eigen_exponents(mrep, p))
         if nu == INFINITY:
             rows.append((idx, "infinity", "infinity", "infinity", True, True))
         else:

@@ -64,6 +64,19 @@ def squarefree_part(n: int) -> int:
     return sign * out
 
 
+def power(x, e: int):
+    """x**e for e >= 1 by left-to-right square-and-multiply: floor(log2 e)
+    squarings and popcount(e) - 1 further products, none by an identity."""
+    if e < 1:
+        raise ValueError("power wants a positive exponent")
+    out = x
+    for bit in bin(e)[3:]:
+        out = out * out
+        if bit == "1":
+            out = out * x
+    return out
+
+
 def multiplicative_order(g: int, n: int) -> int:
     """Order of g in (Z/n)^x; g must be a unit mod n."""
     g %= n

@@ -8,7 +8,7 @@ import math
 import random
 import time
 
-from yagita.chern import n_upper, rationality_check
+from yagita.chern import eigen_exponents, n_upper, rationality_check
 from yagita.exactmat import MatrixGroup, det, order_p_cyclic_subgroups
 from yagita.formulas import (
     SlResult,
@@ -117,7 +117,7 @@ def test_criterion_3_chern_consistency():
         reps = order_p_cyclic_subgroups(group, p)
         assert reps, label
         for m_rep in reps:
-            nu = n_upper(m_rep, p)
+            nu = n_upper(eigen_exponents(m_rep, p))
             assert nu != INFINITY, label  # order-p generators act nontrivially
             m_part, _q = mp_q_decompose(int(nu), p)
             assert (p - 1) % m_part == 0, label

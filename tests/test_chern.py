@@ -1,4 +1,9 @@
+import functools
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from yagita.chern import (
     EigenExponents,
@@ -9,8 +14,8 @@ from yagita.chern import (
     total_chern,
     yagita_upper_witness,
 )
-from yagita.cyclo import zeta
-from yagita.exactmat import CycMatrix, MatrixGroup
+from yagita.cyclo import CycNum, zeta
+from yagita.exactmat import CycMatrix, MatrixGroup, block_diag
 from yagita.fppoly import INFINITY, FpPoly
 from yagita.ringspec import RationalIntegers
 from yagita.witness import (
@@ -67,16 +72,16 @@ def test_total_chern_expansions():
 
 
 def test_n_upper_examples():
-    assert n_upper(regular_rep_zeta(3), 3) == 2
+    assert n_upper(eigen_exponents(regular_rep_zeta(3), 3)) == 2
     central = zeta(3) * CycMatrix.identity(3, 3)
-    assert n_upper(central, 3) == 3
-    assert n_upper(CycMatrix.identity(3), 3) == INFINITY
+    assert n_upper(eigen_exponents(central, 3)) == 3
+    assert n_upper(eigen_exponents(CycMatrix.identity(3), 3)) == INFINITY
 
 
 def test_n_upper_regular_rep_5():
-    m = regular_rep_zeta(5)
-    assert total_chern(eigen_exponents(m, 5)) == FpPoly(5, (1, 0, 0, 0, 4))
-    assert n_upper(m, 5) == 4
+    e = eigen_exponents(regular_rep_zeta(5), 5)
+    assert total_chern(e) == FpPoly(5, (1, 0, 0, 0, 4))
+    assert n_upper(e) == 4
 
 
 def test_rationality_check():
@@ -116,7 +121,7 @@ def test_blow_up_central_element_chern():
     e = eigen_exponents(big, 3)
     assert e.as_dict() == {1: 3, 2: 3}
     assert total_chern(e) == FpPoly(3, (1, 0, 0, 0, 0, 0, 2))
-    assert n_upper(big, 3) == 6
+    assert n_upper(e) == 6
     assert rationality_check(big, 3, 2)
 
 
@@ -143,3 +148,75 @@ def test_every_order_p_element_has_admissible_bound():
 
 def test_multiplicity_error_type():
     assert issubclass(MultiplicityError, ArithmeticError)
+
+
+def _eigen_exponents_by_powers(m, p):
+    """Reference: the multiplicities from the traces of all p matrix powers
+    (the formula eigen_exponents evaluates from trace(m) alone)."""
+    ident = CycMatrix.identity(m.size, m.conductor)
+    powers, x = [ident], m
+    for _ in range(p - 1):
+        powers.append(x)
+        x = x * m
+    assert x == ident
+    cond = math.lcm(m.conductor, p)
+    traces = [q.trace().embed(cond) for q in powers]
+    step = cond // p
+    mults = []
+    for a in range(p):
+        acc = CycNum.rational(0)
+        for k, t in enumerate(traces):
+            acc = acc + t * zeta(cond, (-a * k * step) % cond)
+        v = (acc / p).as_rational()
+        assert v.denominator == 1 and v >= 0
+        mults.append(int(v))
+    return tuple(mults)
+
+
+def _elementary(n, cond, i, j, c):
+    """The identity with c added at (i, j), i != j; its inverse has -c."""
+    rows = [[int(r == k) for k in range(n)] for r in range(n)]
+    rows[i][j] = c
+    return CycMatrix(rows, cond)
+
+
+@st.composite
+def conjugated_order_p_matrices(draw):
+    """(p, conductor, matrix, multiplicities): a block-diagonal matrix of
+    eigenvalue-1 entries, zeta_p**a entries (when p divides the conductor)
+    and the rational companion block of the p-th cyclotomic polynomial,
+    conjugated by elementary matrices over Q(zeta_conductor); conductors
+    with p not dividing, dividing once and dividing twice."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    cond = draw(st.sampled_from(sorted({1, 4, 12, p, 2 * p, p * p, 4 * p})))
+    kinds = ["one", "companion"] + (["zeta"] if cond % p == 0 else [])
+    mults = [0] * p
+    diag = []
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=4)):
+        # a companion block past size 6 in all is drawn as an eigenvalue 1
+        if kind == "companion" and sum(b.size for b in diag) + p - 1 <= 6:
+            diag.append(regular_rep_zeta(p))
+            for a in range(1, p):
+                mults[a] += 1
+        elif kind == "zeta":
+            a = draw(st.integers(0, p - 1))
+            diag.append(CycMatrix([[zeta(p, a)]], cond))
+            mults[a] += 1
+        else:
+            diag.append(CycMatrix.identity(1))
+            mults[0] += 1
+    m = functools.reduce(block_diag, diag).embed(cond)
+    n = m.size
+    for _ in range(draw(st.integers(0, 3)) if n > 1 else 0):
+        i, j = draw(st.permutations(range(n)))[:2]
+        c = CycNum(cond, draw(st.lists(st.integers(-2, 2), min_size=1, max_size=3)))
+        m = _elementary(n, cond, i, j, c) * m * _elementary(n, cond, i, j, -c)
+    return p, cond, m, tuple(mults)
+
+
+@given(conjugated_order_p_matrices())
+@settings(max_examples=60, deadline=None)
+def test_eigen_exponents_matches_power_traces(case):
+    p, cond, m, mults = case
+    assert m.conductor == cond
+    assert eigen_exponents(m, p).multiplicities == _eigen_exponents_by_powers(m, p) == mults

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -59,6 +60,26 @@ def test_chern_subcommand(tmp_path, capsys):
     blob = json.loads(out)
     assert blob["exponents"] == {"0": "1", "1": "1", "2": "1"}
     assert blob["n_upper"] == "2"
+
+
+def test_chern_computes_eigen_exponents_once(tmp_path, capsys, monkeypatch):
+    import yagita.chern
+    import yagita.cli
+
+    calls = []
+    real = yagita.chern.eigen_exponents
+
+    def counted(m, p):
+        calls.append(p)
+        return real(m, p)
+
+    for module in (yagita.chern, yagita.cli):
+        monkeypatch.setattr(module, "eigen_exponents", counted)
+    f = tmp_path / "m.json"
+    f.write_text(json.dumps(build_extraspecial_monomial(3, 1).generators[1].to_json()))
+    assert main(["chern", "--matrix-file", str(f), "--prime", "3"]) == 0
+    assert "n_upper: 2" in capsys.readouterr().out
+    assert calls == [3]
 
 
 def test_verify_exit_codes(capsys):
@@ -153,12 +174,27 @@ def _entry(conductor=1, num=(0,), den=1):
             {"size": 1, "conductor": 1, "entries": [[{"num": [1], "den": 1}]]},
             "malformed matrix file: KeyError('conductor')",
         ),
+        (
+            {"size": 1, "conductor": 1,
+             "entries": [[{"conductor": 1, "num": "12", "den": 1}]]},
+            "malformed matrix file: TypeError('entry num is not a list')",
+        ),
+        (  # reducing 12000 coefficients mod the 9973rd cyclotomic polynomial
+            # and the order test after it would take about a minute
+            {"size": 1, "conductor": 9973,
+             "entries": [[_entry(9973, random.Random(0).choices(range(-9, 10), k=12000))]]},
+            "entry num of length 12000 exceeds the cap phi(9973) = 9972",
+        ),
+        (
+            {"size": 1, "conductor": 1, "entries": [[_entry(0)]]},
+            "conductor 0 is not positive",
+        ),
     ],
 )
 def test_chern_rejects_bad_matrix_file(tmp_path, capsys, monkeypatch, matrix, message):
     f = tmp_path / "m.json"
     f.write_text(json.dumps(matrix), encoding="utf-8")
-    if "cap" in message:
+    if "cap" in message or "malformed" in message:
         # the bounds are checked before any entry becomes a number
         def no_parse(obj):
             raise AssertionError("matrix parsed before its bounds were checked")

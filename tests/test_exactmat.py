@@ -18,6 +18,8 @@ from yagita.exactmat import (
     relations_check,
 )
 from yagita.exactmat import _det_cofactor
+from yagita.ringspec import parse_ring
+from yagita.witness import witness_menu
 
 
 def rand_int_matrix(rng, n, lo=-3, hi=3):
@@ -134,6 +136,67 @@ def test_order_p_cyclic_subgroups_dihedral():
 def test_order_p_cyclic_subgroups_cyclic():
     g = MatrixGroup([CycMatrix.diagonal([zeta(5), zeta(5, 2)])])
     assert len(order_p_cyclic_subgroups(g, 5)) == 1
+
+
+def _order_p_reps_by_power_sets(group, p):
+    """Reference: test every element's order and deduplicate subgroups by
+    the frozenset of the keys of their p members."""
+    elems = group.elements()
+    ident = CycMatrix.identity(elems[0].size, elems[0].conductor)
+    reps, seen = [], set()
+    for m in elems:
+        if m == ident or m**p != ident:
+            continue
+        powers, x = [ident], m
+        for _ in range(p - 1):
+            powers.append(x)
+            x = x * m
+        key = frozenset(q.key() for q in powers)
+        if key not in seen:
+            seen.add(key)
+            reps.append(m)
+    return reps
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("ring", ["Z", "cyclotomic"])
+def test_order_p_cyclic_subgroups_matches_power_sets(p, ring):
+    # the menu witnesses of order <= 250 up to dimension 7 (the four of
+    # dimension 8 to 20 take 3 to 38 s each to enumerate); a determinant-
+    # padded witness enumerates like its unpadded group, so it is left out
+    ring = parse_ring("Z" if ring == "Z" else f"cyclotomic:{p}")
+    witnesses = [
+        e.embedding
+        for e in witness_menu(p, 7, ring)
+        if e.embedding.expected_order <= 250 and not e.embedding.padded
+    ]
+    assert witnesses
+    for w in witnesses:
+        g = MatrixGroup(w.generators)
+        got = order_p_cyclic_subgroups(g, p)
+        want = _order_p_reps_by_power_sets(g, p)
+        assert [m.key() for m in got] == [m.key() for m in want], w
+
+
+def test_power_product_count(monkeypatch):
+    # left-to-right square-and-multiply: floor(log2 e) squarings and
+    # popcount(e) - 1 products by the base, none by the identity
+    m = CycMatrix([[0, -1], [1, 1]])
+    powers = [CycMatrix.identity(2), m]
+    for _ in range(38):
+        powers.append(powers[-1] * m)
+    mul = CycMatrix.__mul__
+    products = []
+
+    def counted(a, b):
+        products.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(CycMatrix, "__mul__", counted)
+    for e, want in enumerate(powers):
+        products.clear()
+        assert m**e == want
+        assert len(products) == max(e.bit_length() + bin(e).count("1") - 2, 0), e
 
 
 def test_relations_check():
