@@ -55,6 +55,16 @@ class CycMatrix:
         raise AttributeError("CycMatrix is immutable")
 
     @classmethod
+    def _of(cls, rows: tuple, conductor: int) -> CycMatrix:
+        """The matrix with these rows (tuples of entries already over this
+        conductor, as a product's are), without coercing them again."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "size", len(rows))
+        object.__setattr__(m, "conductor", conductor)
+        object.__setattr__(m, "rows", rows)
+        return m
+
+    @classmethod
     def identity(cls, n: int, conductor: int = 1) -> CycMatrix:
         one, zero = CycNum.rational(1), CycNum.rational(0)
         return cls(
@@ -90,20 +100,25 @@ class CycMatrix:
             if self.size != other.size:
                 raise ValueError("size mismatch")
             a, b = self._unify(other)
-            n = a.size
-            bcols = [[b.rows[k][j] for k in range(n)] for j in range(n)]
+            # row i of the product sums x * (row k of b) over the nonzero
+            # x = a[i][k], and only the nonzero entries of that row of b.
+            # Every entry is reduced over the one conductor, so an entry is
+            # zero exactly when its coordinates are those of zero.
+            zero = CycNum(a.conductor, ())
+            z = zero.num
+            bnz = [[(j, y) for j, y in enumerate(row) if y.num != z] for row in b.rows]
             out = []
-            for i in range(n):
-                arow = a.rows[i]
-                orow = []
-                for j in range(n):
-                    bcol = bcols[j]
-                    acc = arow[0] * bcol[0]
-                    for k in range(1, n):
-                        acc = acc + arow[k] * bcol[k]
-                    orow.append(acc)
-                out.append(orow)
-            return CycMatrix(out, a.conductor)
+            for arow in a.rows:
+                acc = [None] * a.size
+                for k, x in enumerate(arow):
+                    if x.num == z:
+                        continue
+                    for j, y in bnz[k]:
+                        t = x * y
+                        s = acc[j]
+                        acc[j] = t if s is None else s + t
+                out.append(tuple(zero if s is None else s for s in acc))
+            return CycMatrix._of(tuple(out), a.conductor)
         if isinstance(other, (int, Fraction, CycNum)):
             s = _coerce_entry(other)
             return CycMatrix([[s * x for x in row] for row in self.rows])
@@ -222,28 +237,43 @@ def _det_cofactor(rows, n) -> CycNum:
 
 def det(a: CycMatrix) -> CycNum:
     """Exact determinant: cofactor expansion for n <= 4, fraction-free
-    Bareiss elimination (division by the previous pivot) above that."""
+    Bareiss elimination (division by the previous pivot) above that.  Both
+    skip the terms with a zero factor."""
     n = a.size
     if n <= 4:
         return _det_cofactor([list(r) for r in a.rows], n)
     m = [list(r) for r in a.rows]
+    z = CycNum(a.conductor, ()).num  # the coordinates of zero, as in __mul__
     sign = 1
     prev = CycNum.rational(1)
     for k in range(n - 1):
-        if m[k][k].is_zero:
+        if m[k][k].num == z:
             for i in range(k + 1, n):
-                if not m[i][k].is_zero:
+                if m[i][k].num != z:
                     m[k], m[i] = m[i], m[k]
                     sign = -sign
                     break
             else:
                 return CycNum.rational(0)
-        pivot = m[k][k]
+        rowk = m[k]
+        pivot = rowk[k]
         inv_prev = None if prev.is_one else prev.inverse()
         for i in range(k + 1, n):
+            row = m[i]
+            f = None if row[k].num == z else row[k]
             for j in range(k + 1, n):
-                v = pivot * m[i][j] - m[i][k] * m[k][j]
-                m[i][j] = v if inv_prev is None else v * inv_prev
+                # v = pivot * row[j] - f * rowk[j], without its zero terms;
+                # when both are zero the entry stays zero
+                x, y = row[j], rowk[j]
+                if f is None or y.num == z:
+                    if x.num == z:
+                        continue
+                    v = pivot * x
+                elif x.num == z:
+                    v = -(f * y)
+                else:
+                    v = pivot * x - f * y
+                row[j] = v if inv_prev is None else v * inv_prev
         prev = pivot
     d = m[n - 1][n - 1]
     return d if sign == 1 else -d

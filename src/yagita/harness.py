@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 from .chern import eigen_exponents, n_upper
 from .exactmat import DEFAULT_CAP, MatrixGroup, order_p_cyclic_subgroups
@@ -253,23 +253,26 @@ def table_tsv(rows: list[TableRow]) -> str:
 
 
 def _stringify(obj):
+    """The JSON form of a report or a part of one, in one walk: dataclasses
+    become dicts of their fields, tuples lists and integers decimal
+    strings."""
     if isinstance(obj, bool):
         return obj
     if isinstance(obj, int):
         return str(obj)
+    if isinstance(obj, (list, tuple)):
+        return [_stringify(v) for v in obj]
+    if is_dataclass(obj):
+        return {f.name: _stringify(getattr(obj, f.name)) for f in fields(obj)}
     if isinstance(obj, float):
         if math.isinf(obj):
             return "infinity"
         raise TypeError("no inexact numbers belong in a report")
-    if isinstance(obj, dict):
-        return {k: _stringify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_stringify(v) for v in obj]
     return obj
 
 
 def report_to_dict(report: VerificationReport) -> dict:
-    return _stringify(asdict(report))
+    return _stringify(report)
 
 
 def report_to_json(report: VerificationReport) -> str:

@@ -1,7 +1,10 @@
 import json
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from yagita.cyclo import CycNum, cyclotomic_poly, zeta
 from yagita.exactmat import (
@@ -78,6 +81,133 @@ def test_det_with_cyclotomic_entries():
     assert det(m) == 1
     m2 = CycMatrix([[zeta(8), 1], [0, zeta(8, 7)]])
     assert det(m2) == 1
+
+
+def _dense_product(a, b):
+    """Reference: every entry as the full sum over k, zeros included."""
+    n = a.size
+    return CycMatrix(
+        [[sum((a[i, k] * b[k, j] for k in range(n)), CycNum.rational(0))
+          for j in range(n)] for i in range(n)]
+    )
+
+
+def _dense_bareiss(a):
+    """Reference: fraction-free elimination over every entry, with a row
+    swap at a zero pivot and exact division by the previous pivot."""
+    n = a.size
+    m = [list(r) for r in a.rows]
+    sign, prev = 1, CycNum.rational(1)
+    for k in range(n - 1):
+        if m[k][k].is_zero:
+            swap = next((i for i in range(k + 1, n) if not m[i][k].is_zero), None)
+            if swap is None:
+                return CycNum.rational(0)
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]) / prev
+        prev = m[k][k]
+    return m[n - 1][n - 1] if sign == 1 else -m[n - 1][n - 1]
+
+
+PATTERNS = ("monomial", "block", "dense", "zero_row", "zero_col", "zero_pivot", "singular")
+
+
+@st.composite
+def patterned_matrices(draw, n, cond):
+    """An n x n matrix over Q(zeta_cond) with Fraction coordinates whose
+    zeros follow one of PATTERNS (its nonzero slots may still draw 0)."""
+    pattern = draw(st.sampled_from(PATTERNS))
+
+    def entry():
+        num = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=4))
+        return CycNum(cond, num, draw(st.integers(1, 3)))
+
+    if pattern == "monomial":
+        perm = draw(st.permutations(range(n)))
+        mask = [[j == perm[i] for j in range(n)] for i in range(n)]
+    elif pattern == "block":
+        cuts = sorted(draw(st.sets(st.integers(1, max(n - 1, 1)), max_size=3)))
+        block = [sum(i >= c for c in cuts) for i in range(n)]
+        mask = [[block[i] == block[j] for j in range(n)] for i in range(n)]
+    else:
+        mask = [[True] * n for _ in range(n)]
+    if pattern == "zero_row":
+        mask[draw(st.integers(0, n - 1))] = [False] * n
+    if pattern == "zero_col":
+        c = draw(st.integers(0, n - 1))
+        for row in mask:
+            row[c] = False
+    if pattern == "zero_pivot":
+        mask[0][0] = False
+    zero = CycNum.rational(0)
+    rows = [[entry() if ok else zero for ok in row] for row in mask]
+    if pattern == "singular" and n > 1:
+        i, j = draw(st.permutations(range(n)))[:2]
+        c = entry()
+        rows[i] = [c * x for x in rows[j]]
+    elif pattern == "singular":
+        rows = [[zero]]
+    return CycMatrix(rows, cond)
+
+
+@st.composite
+def kernel_operands(draw):
+    n = draw(st.integers(1, 7))
+    cond = draw(st.sampled_from([1, 4, 5, 12]))
+    return draw(patterned_matrices(n, cond)), draw(patterned_matrices(n, cond))
+
+
+@given(kernel_operands())
+@settings(max_examples=80, deadline=None)
+def test_product_and_det_match_dense_formulas(operands):
+    # sizes 1 to 4 take the cofactor determinant, 5 to 7 Bareiss
+    a, b = operands
+    ab = a * b
+    assert ab == _dense_product(a, b) and ab.conductor == a.conductor
+    assert all(x.conductor == a.conductor for row in ab.rows for x in row)
+    assert det(a) == _dense_bareiss(a)
+    assert det(b) == _dense_bareiss(b)
+    assert det(ab) == det(a) * det(b)
+
+
+def _count_number_products(monkeypatch):
+    mul = CycNum.__mul__
+    products = []
+
+    def counted(x, y):
+        products.append(1)
+        return mul(x, y)
+
+    monkeypatch.setattr(CycNum, "__mul__", counted)
+    return products
+
+
+def test_sparse_product_count(monkeypatch):
+    # a signed permutation matrix has one nonzero entry per row, so each
+    # entry of the product is one term: n**2 products, not n**3
+    n = 6
+    rng = random.Random(3)
+    perm = rng.sample(range(n), n)
+    s = CycMatrix([[(-1) ** i if j == perm[i] else 0 for j in range(n)] for i in range(n)])
+    d = CycMatrix([[rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(n)] for _ in range(n)])
+    want = CycMatrix([[(-1) ** i * d[perm[i], j] for j in range(n)] for i in range(n)])
+    products = _count_number_products(monkeypatch)
+    assert s * d == want
+    assert len(products) == n * n
+
+
+def test_sparse_det_count(monkeypatch):
+    # Bareiss on a diagonal matrix: step k scales the n - 1 - k diagonal
+    # entries below it by the pivot and, from k = 1 on, by the inverse of
+    # the previous pivot, so (n - 1) + 2 * (n - 2) * (n - 1) / 2 = (n - 1)**2
+    n = 8
+    m = CycMatrix.diagonal(range(2, n + 2))
+    products = _count_number_products(monkeypatch)
+    assert det(m) == math.factorial(n + 1)
+    assert len(products) == (n - 1) ** 2 == 49
 
 
 def test_element_order():
@@ -161,13 +291,14 @@ def _order_p_reps_by_power_sets(group, p):
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 @pytest.mark.parametrize("ring", ["Z", "cyclotomic"])
 def test_order_p_cyclic_subgroups_matches_power_sets(p, ring):
-    # the menu witnesses of order <= 250 up to dimension 7 (the four of
-    # dimension 8 to 20 take 3 to 38 s each to enumerate); a determinant-
-    # padded witness enumerates like its unpadded group, so it is left out
+    # the menu witnesses of order <= 250 up to dimension 20, E(2,3) over Z
+    # (dimension 8), E(3,2) over cyclotomic:3 (9) and over Z (18) and E(5,1)
+    # over Z (20) included; a determinant-padded witness enumerates like its
+    # unpadded group, so it is left out
     ring = parse_ring("Z" if ring == "Z" else f"cyclotomic:{p}")
     witnesses = [
         e.embedding
-        for e in witness_menu(p, 7, ring)
+        for e in witness_menu(p, 20, ring)
         if e.embedding.expected_order <= 250 and not e.embedding.padded
     ]
     assert witnesses
