@@ -28,18 +28,8 @@ from .harness import (
     verify_case,
 )
 from .numutil import euler_phi, is_prime
-from .ringspec import RationalIntegers, compute_l, contains_zeta_p, parse_ring
-from .witness import (
-    WitnessError,
-    blow_up,
-    build_e2m_integer,
-    build_extraspecial_monomial,
-    build_g1,
-    build_g2,
-    build_q8,
-    parse_kind,
-    verify_embedding,
-)
+from .ringspec import compute_l, parse_ring
+from .witness import build, parse_kind, verify_embedding
 
 
 def _add_common(sub, *, ring=True, cap=False, seed=False):
@@ -74,34 +64,8 @@ def _cmd_compute(args) -> int:
     return 0
 
 
-def _build_witness(kind_text: str, ring_text: str):
-    kind = parse_kind(kind_text)
-    ring = parse_ring(ring_text)
-    if kind.family == "Q8":
-        return build_q8()
-    if kind.family == "D8":
-        return build_e2m_integer(1)
-    if kind.family == "G1":
-        return build_g1(kind.p, kind.m, ring)
-    if kind.family == "G2":
-        return build_g2(kind.p, kind.m, ring)
-    if kind.family == "E":
-        if kind.p == 2:
-            return build_e2m_integer(kind.m)
-        w = build_extraspecial_monomial(kind.p, kind.m)
-        if isinstance(ring, RationalIntegers):
-            return blow_up(w)
-        if not contains_zeta_p(ring, kind.p):
-            raise WitnessError(
-                f"extraspecial model needs zeta_{kind.p} in the ring, or Z for "
-                "the restriction-of-scalars form"
-            )
-        return w
-    raise WitnessError(f"unknown kind {kind_text!r}")
-
-
 def _cmd_witness(args) -> int:
-    w = _build_witness(args.kind, args.ring)
+    w = build(parse_kind(args.kind), parse_ring(args.ring))
     vw = verify_embedding(w, args.cap)
     if args.json:
         out = {

@@ -27,13 +27,6 @@ __all__ = ["CycNum", "zeta", "cyclotomic_poly"]
 # integer polynomials as coefficient tuples, constant term first
 
 
-def _trim(cs) -> tuple[int, ...]:
-    cs = list(cs)
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
-
-
 def _poly_rem_monic(a, b) -> list[int]:
     """Remainder of a modulo monic b, over Z; returns a list of length deg b."""
     db = len(b) - 1

@@ -55,6 +55,7 @@ from .ringspec import (
     RingSpec,
     UnsupportedFieldError,
     compute_l,
+    contains_zeta_p,
     has_nth_root_of_minus_one,
     is_rational_integers,
     roots_of_unity_order,
@@ -174,7 +175,6 @@ def _commutator_word(a: int, b: int) -> Word:
 # metacyclic witnesses
 
 
-@functools.lru_cache(maxsize=None)
 def build_g1(p: int, m: int, ring: RingSpec) -> WitnessEmbedding:
     """The split metacyclic group C_p : C_m inside GL over the given ring.
 
@@ -223,13 +223,12 @@ def build_g1(p: int, m: int, ring: RingSpec) -> WitnessEmbedding:
     )
 
 
-@functools.lru_cache(maxsize=None)
 def build_g2(p: int, m: int, ring: RingSpec) -> WitnessEmbedding:
     """C_p : C_2m (acting through C_m) inside SL: twist the order-m
     generator B (determinant -1) by a root of unity mu with mu**n = -1."""
     if m % 2:
         raise WitnessError("the order-2m extension needs m even")
-    base = build_g1(p, m, ring)
+    base = build(WitnessKind("G1", p, m), ring)
     a, b = base.generators
     n = base.dimension
     if not has_nth_root_of_minus_one(ring, n):
@@ -348,7 +347,6 @@ def _tensor_extraspecial(
     )
 
 
-@functools.lru_cache(maxsize=None)
 def build_extraspecial_monomial(p: int, m: int) -> WitnessEmbedding:
     """The extraspecial group of order p^(2m+1) and exponent p (p odd) in
     its p^m-dimensional monomial representation over Z[zeta_p].
@@ -429,7 +427,6 @@ def blow_up(w: WitnessEmbedding) -> WitnessEmbedding:
     )
 
 
-@functools.lru_cache(maxsize=None)
 def build_e2m_integer(m: int) -> WitnessEmbedding:
     """The extraspecial 2-group of order 2^(2m+1) (central product of m
     dihedral groups of order 8) over Z.
@@ -437,9 +434,10 @@ def build_e2m_integer(m: int) -> WitnessEmbedding:
     m = 1 is the dihedral group of order 8 itself in GL_2(Z) (one generator
     has determinant -1; ``sl_pad`` gives the SL_3 form).  For m >= 2 the
     generators are tensor products of the swap S and sign D blocks.  Like
-    every other builder this only constructs: the defining facts (closure
-    order, presentation, center {+-I}, all determinants 1) are checked by
-    ``verify_embedding``, which the harness and the CLI run on every witness.
+    every other builder this only constructs, and ``build`` memoizes it: the
+    defining facts (closure order, presentation, center {+-I}, generator
+    determinants 1) are checked by ``verify_embedding``, which the harness
+    and the CLI run on every witness.
     """
     if m < 1 or 2**m > MAX_MATRIX_SIZE:
         raise WitnessError(f"2^m = {2**m} exceeds the matrix-size cap")
@@ -463,7 +461,6 @@ def build_e2m_integer(m: int) -> WitnessEmbedding:
     return _tensor_extraspecial(2, m, swap, sign, -1, RationalIntegers())
 
 
-@functools.lru_cache(maxsize=None)
 def build_q8() -> WitnessEmbedding:
     """The quaternion group of order 8 in SL_2(Z[i]): the left action of the
     quaternion units on Z[i] + Z[i]j."""
@@ -543,7 +540,9 @@ def verify_embedding(w: WitnessEmbedding, cap: int = DEFAULT_CAP) -> VerifiedWit
         w.generators[i] * w.generators[j] == s * (w.generators[j] * w.generators[i])
         for i, j, s in w.central_commutations
     )
-    sl_ok = (not w.claims_sl) or all(det(x) == 1 for x in elems)
+    # det is multiplicative, so the generators' determinants settle the SL
+    # claim for every element of the group they generate
+    sl_ok = (not w.claims_sl) or all(det(g) == 1 for g in w.generators)
     center = sum(1 for x in elems if all(g * x == x * g for g in w.generators))
     center_ok = center == w.expected_center
     return VerifiedWitness(
@@ -558,9 +557,40 @@ def verify_embedding(w: WitnessEmbedding, cap: int = DEFAULT_CAP) -> VerifiedWit
     )
 
 
-@functools.lru_cache(maxsize=None)
 def _extraspecial_over_Z(p: int, m: int) -> WitnessEmbedding:
     return blow_up(build_extraspecial_monomial(p, m))
+
+
+@functools.lru_cache(maxsize=None)
+def build(kind: WitnessKind, ring: RingSpec, padded: bool = False) -> WitnessEmbedding:
+    """The one constructor behind the menu and ``yagita witness``, and the
+    one cache of built witnesses: each (kind, ring, padded) is built once
+    per process.  ``padded`` gives the determinant pad ``sl_pad`` of the
+    unpadded embedding.  Q8, D8 and E(2, m) are integral models over any
+    ring; E(p, m) for odd p is the restriction-of-scalars form over Z and
+    the monomial model over rings containing zeta_p."""
+    if padded:
+        return sl_pad(build(kind, ring))
+    if kind.family == "Q8":
+        return build_q8()
+    if kind.family == "D8":
+        return build_e2m_integer(1)
+    if kind.family == "G1":
+        return build_g1(kind.p, kind.m, ring)
+    if kind.family == "G2":
+        return build_g2(kind.p, kind.m, ring)
+    if kind.family == "E":
+        if kind.p == 2:
+            return build_e2m_integer(kind.m)
+        if is_rational_integers(ring):
+            return _extraspecial_over_Z(kind.p, kind.m)
+        if contains_zeta_p(ring, kind.p):
+            return build_extraspecial_monomial(kind.p, kind.m)
+        raise WitnessError(
+            f"extraspecial model needs zeta_{kind.p} in the ring, or Z for "
+            "the restriction-of-scalars form"
+        )
+    raise WitnessError(f"unknown kind {kind}")
 
 
 # ---------------------------------------------------------------------------
@@ -586,49 +616,43 @@ def witness_menu(p: int, n: int, ring: RingSpec) -> list[MenuEntry]:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     entries: list[MenuEntry] = []
+    size = min(n, MAX_MATRIX_SIZE)
+
+    def add(kind: WitnessKind) -> None:
+        w = build(kind, ring)
+        entries.append(MenuEntry(w, True, w.claims_sl))
+        if not w.claims_sl and w.dimension + 1 <= size:
+            entries.append(MenuEntry(build(kind, ring, True), False, True))
+
     if isinstance(ring, AbstractRing):
         return entries
     if p == 2:
         m = 1
-        while 2**m <= min(n, MAX_MATRIX_SIZE):
-            w = build_e2m_integer(m)
-            entries.append(MenuEntry(w, True, w.claims_sl))
-            if not w.claims_sl and w.dimension + 1 <= n:
-                entries.append(MenuEntry(sl_pad(w), False, True))
+        while 2**m <= size:
+            add(WitnessKind("E", 2, m))
             m += 1
         if n >= 2 and roots_of_unity_order(ring) % 4 == 0:
-            entries.append(MenuEntry(build_q8(), True, True))
+            add(WitnessKind("Q8"))
     else:
         try:
             l = compute_l(ring, p)
         except UnsupportedFieldError:
             return entries
-        buildable = is_rational_integers(ring) or l == 1
-        if not buildable:
+        if not (is_rational_integers(ring) or l == 1):
             return entries
         for m in divisors(p - 1):
-            if m < 2:
+            if m < 2 or m * l // math.gcd(m, l) > size:
                 continue
-            dim = m * l // math.gcd(m, l)
-            if dim > min(n, MAX_MATRIX_SIZE):
-                continue
-            w = build_g1(p, m, ring)
-            entries.append(MenuEntry(w, True, w.claims_sl))
-            if not w.claims_sl and w.dimension + 1 <= min(n, MAX_MATRIX_SIZE):
-                entries.append(MenuEntry(sl_pad(w), False, True))
+            add(WitnessKind("G1", p, m))
             if m % 2 == 0:
                 try:
-                    entries.append(MenuEntry(build_g2(p, m, ring), True, True))
+                    add(WitnessKind("G2", p, m))
                 except WitnessError:
                     pass
         scale = (p - 1) if is_rational_integers(ring) else 1
         q = 1
-        while p**q <= MAX_MATRIX_SIZE and scale * p**q <= min(n, MAX_MATRIX_SIZE):
-            if is_rational_integers(ring):
-                w = _extraspecial_over_Z(p, q)
-            else:
-                w = build_extraspecial_monomial(p, q)
-            entries.append(MenuEntry(w, True, True))
+        while p**q <= MAX_MATRIX_SIZE and scale * p**q <= size:
+            add(WitnessKind("E", p, q))
             q += 1
     entries.sort(
         key=lambda e: (str(e.embedding.kind), e.embedding.padded, e.embedding.dimension)

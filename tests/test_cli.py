@@ -50,6 +50,15 @@ def test_witness_extraspecial_over_z(capsys):
     assert code == 0 and blob["dimension"] == "6"
 
 
+def test_witness_extraspecial_over_degenerate_cyclotomic(capsys):
+    # cyclotomic:2 is Z: the witness command builds the same restriction-of-
+    # scalars form that verify certifies there
+    code, out = run(capsys, "witness", "--kind", "e:3:1", "--ring", "cyclotomic:2", "--json")
+    assert code == 0
+    assert json.loads(out)["dimension"] == "6"
+    assert out == run(capsys, "witness", "--kind", "e:3:1", "--ring", "Z", "--json")[1]
+
+
 def test_chern_subcommand(tmp_path, capsys):
     w = build_extraspecial_monomial(3, 1)
     z1 = w.generators[1]  # diagonal of zeta_3 powers

@@ -162,7 +162,7 @@ def test_each_witness_verified_once_and_no_elements_cached(monkeypatch):
     monkeypatch.setattr(witness, "verify_embedding", counted)
     monkeypatch.setattr(harness, "verify_embedding", counted)
     monkeypatch.setattr(harness, "_checked", {})
-    witness.build_e2m_integer.cache_clear()  # build from cold, as a new process does
+    witness.build.cache_clear()  # build from cold, as a new process does
     for sl, n_min in ((False, 1), (True, 2)):
         for n in range(n_min, 5):
             assert verify_case(2, n, Z, sl=sl).verdict != FAIL

@@ -1,7 +1,9 @@
+import dataclasses
 import random
 
 import pytest
 
+from yagita import witness
 from yagita.cyclo import CycNum, zeta
 from yagita.exactmat import CycMatrix, closure, det
 from yagita.ringspec import (
@@ -13,8 +15,10 @@ from yagita.ringspec import (
 )
 from yagita.witness import (
     WitnessError,
+    WitnessKind,
     blow_up,
     blow_up_matrix,
+    build,
     build_e2m_integer,
     build_extraspecial_monomial,
     build_g1,
@@ -289,3 +293,54 @@ def test_verified_witness_faithfulness_battery():
         vw = verify_embedding(w)
         assert vw.ok, f"{w} failed: {vw.summary()}"
         assert vw.order == w.expected_order
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    real = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_sl_claim_checked_on_generators(monkeypatch):
+    w = build_e2m_integer(2)
+    calls = _count_calls(monkeypatch, witness, "det")
+    vw = verify_embedding(w)
+    assert vw.ok and vw.order == 32
+    assert len(calls) == len(w.generators)
+
+
+def test_false_sl_claim_fails():
+    vw = verify_embedding(dataclasses.replace(build_e2m_integer(1), claims_sl=True))
+    assert vw.sl_ok is False and vw.ok is False
+
+
+@pytest.mark.parametrize(
+    "kind, ring",
+    [
+        (WitnessKind("G1", 3, 2), Z),
+        (WitnessKind("G1", 5, 2), Cyclotomic(5)),
+        (WitnessKind("E", 2, 1), Z),
+        (WitnessKind("E", 3, 1), Cyclotomic(2)),
+    ],
+)
+def test_build_is_memoized_and_pads(kind, ring):
+    w = build(kind, ring)
+    assert build(kind, ring) is w
+    padded = build(kind, ring, True)
+    assert build(kind, ring, True) is padded
+    assert padded.generators == sl_pad(w).generators
+
+
+def test_warm_menu_does_no_matrix_work(monkeypatch):
+    witness_menu(7, 7, Z)
+    products = _count_calls(monkeypatch, CycMatrix, "__mul__")
+    dets = _count_calls(monkeypatch, witness, "det")
+    menu = witness_menu(7, 7, Z)
+    assert any(e.embedding.padded for e in menu)
+    assert products == [] and dets == []
