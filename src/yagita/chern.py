@@ -15,7 +15,7 @@ import math
 
 from dataclasses import dataclass
 
-from .cyclo import CycNum, zeta
+from .cyclo import CycNum, _sum_of_products, zeta
 from .exactmat import CycMatrix, MatrixGroup, order_p_cyclic_subgroups
 from .fppoly import INFINITY, FpPoly
 from .numutil import is_prime
@@ -64,18 +64,20 @@ def eigen_exponents(m: CycMatrix, p: int) -> EigenExponents:
         raise ValueError("matrix does not satisfy m**p = identity")
     cond = math.lcm(m.conductor, p)
     tr = m.trace().embed(cond)
-    traces = [CycNum.rational(n)]
+    traces = [CycNum(cond, (n,))]
     for k in range(1, p):
         # k + p*j meets every residue mod the prime-to-p part of cond
         c = next(c for c in range(k, cond + k, p) if math.gcd(c, cond) == 1)
         traces.append(tr.galois(c))
     step = cond // p  # zeta_cond**step is a primitive p-th root of unity
+    roots = [zeta(cond, k * step) for k in range(p)]
     mults = []
     for a in range(p):
-        acc = CycNum.rational(0)
-        for k, t in enumerate(traces):
-            acc = acc + t * zeta(cond, (-a * k * step) % cond)
-        v = (acc / p).as_rational()
+        # the p terms are summed on coordinates and reduced once
+        acc = _sum_of_products(
+            cond, ((t, roots[-a * k % p]) for k, t in enumerate(traces))
+        )
+        v = CycNum(cond, acc.num, acc.den * p).as_rational()
         if v is None or v.denominator != 1 or v < 0:
             raise MultiplicityError(
                 f"multiplicity of exponent {a} came out {v!r}; arithmetic bug"

@@ -85,6 +85,48 @@ def _zeta_power(n: int, e: int) -> tuple[int, ...]:
     return tuple(r + [0] * (deg - len(r)))
 
 
+def _mul_into(acc: list[int], an, bn) -> None:
+    """Add the coordinate product of an and bn into acc, unreduced:
+    ``an[i] * bn[j]`` goes to ``acc[i + j]``, so acc needs length
+    len(an) + len(bn) - 1.  Zero coordinates are skipped.
+    ``CycNum.__mul__``, the matrix product and the Chern character sum all
+    multiply numbers through this one routine."""
+    if len(an) == 1 == len(bn):  # two rationals
+        acc[0] += an[0] * bn[0]
+        return
+    for i, x in enumerate(an):
+        if x:
+            for k, y in enumerate(bn, i):
+                if y:
+                    acc[k] += x * y
+
+
+def _sum_of_products(conductor: int, pairs) -> CycNum:
+    """The sum of x * y over (x, y) pairs of numbers over this conductor.
+
+    The terms are added on unreduced integer coordinates over one common
+    denominator (rescaled to the lcm when a term's denominator differs), so
+    the sum is reduced modulo the cyclotomic polynomial and put in lowest
+    terms once, not once per term.
+    """
+    acc = [0] * (2 * euler_phi(conductor) - 1)
+    den = 1
+    for x, y in pairs:
+        d = x.den * y.den
+        xn = x.num
+        if d != den:
+            lcm = math.lcm(den, d)
+            if lcm != den:
+                f = lcm // den
+                acc = [c * f for c in acc]
+                den = lcm
+            if lcm != d:
+                f = lcm // d
+                xn = [c * f for c in xn]
+        _mul_into(acc, xn, y.num)
+    return CycNum(conductor, acc, den)
+
+
 # ---------------------------------------------------------------------------
 # polynomials over Q, used only inside the extended Euclid for inversion
 
@@ -301,15 +343,8 @@ class CycNum:
         if o is None:
             return NotImplemented
         a, b = self._unify(o)
-        an, bn = a.num, b.num
-        if len(an) == 1:
-            return CycNum(a.conductor, (an[0] * bn[0],), a.den * b.den)
-        out = [0] * (2 * len(an) - 1)
-        for i, x in enumerate(an):
-            if x:
-                for j, y in enumerate(bn):
-                    if y:
-                        out[i + j] += x * y
+        out = [0] * (2 * len(a.num) - 1)
+        _mul_into(out, a.num, b.num)
         return CycNum(a.conductor, out, a.den * b.den)
 
     __rmul__ = __mul__

@@ -2,18 +2,23 @@
 
 Matrices are square, immutable, and keep all entries over one shared
 conductor so that equality and hashing of elements inside a group
-enumeration are purely structural.  Group closure is a breadth-first
-enumeration under left multiplication by the generators, deduplicated by a
-canonical serialized key; it either returns the full element list or raises
-``CapExceededError`` for groups that are too large (or not finite at all).
+enumeration are purely structural.  A product skips the terms with a zero
+factor and adds the other terms of each entry on unreduced integer
+coordinates over one denominator, so each entry is reduced modulo the
+cyclotomic polynomial and put in lowest terms once, not once per term.
+Group closure is a breadth-first enumeration under left multiplication by
+the generators, deduplicated by a canonical serialized key; it either
+returns the full element list or raises ``CapExceededError`` for groups
+that are too large (or not finite at all).
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from fractions import Fraction
 
-from .cyclo import CycNum
+from .cyclo import CycNum, _sum_of_products
 from .numutil import power
 
 DEFAULT_CAP = 10**6
@@ -100,24 +105,27 @@ class CycMatrix:
             if self.size != other.size:
                 raise ValueError("size mismatch")
             a, b = self._unify(other)
-            # row i of the product sums x * (row k of b) over the nonzero
-            # x = a[i][k], and only the nonzero entries of that row of b.
-            # Every entry is reduced over the one conductor, so an entry is
-            # zero exactly when its coordinates are those of zero.
-            zero = CycNum(a.conductor, ())
+            # entry (i, j) sums x * y over the nonzero x = a[i][k] and only
+            # the nonzero y = b[k][j]: the pairs are gathered row by row of
+            # a and b, then each entry's pairs are summed on integer
+            # coordinates and reduced once.  Every entry is reduced over the
+            # one conductor, so an entry is zero exactly when its
+            # coordinates are those of zero.
+            cond, n = a.conductor, a.size
+            zero = CycNum(cond, ())
             z = zero.num
             bnz = [[(j, y) for j, y in enumerate(row) if y.num != z] for row in b.rows]
             out = []
             for arow in a.rows:
-                acc = [None] * a.size
+                terms = defaultdict(list)
                 for k, x in enumerate(arow):
-                    if x.num == z:
-                        continue
-                    for j, y in bnz[k]:
-                        t = x * y
-                        s = acc[j]
-                        acc[j] = t if s is None else s + t
-                out.append(tuple(zero if s is None else s for s in acc))
+                    if x.num != z:
+                        for j, y in bnz[k]:
+                            terms[j].append((x, y))
+                row = [zero] * n
+                for j, t in terms.items():
+                    row[j] = _sum_of_products(cond, t)
+                out.append(tuple(row))
             return CycMatrix._of(tuple(out), a.conductor)
         if isinstance(other, (int, Fraction, CycNum)):
             s = _coerce_entry(other)

@@ -220,3 +220,22 @@ def test_eigen_exponents_matches_power_traces(case):
     p, cond, m, mults = case
     assert m.conductor == cond
     assert eigen_exponents(m, p).multiplicities == _eigen_exponents_by_powers(m, p) == mults
+
+
+def test_eigen_exponents_makes_no_number_products(monkeypatch):
+    # the p terms of each residue's character sum are added on coordinates
+    # and reduced once, and the m**p check goes through the matrix kernel,
+    # so no CycNum product is made at all
+    m = _elementary(3, 20, 0, 2, zeta(4)) * CycMatrix.diagonal([zeta(5), zeta(5, 2), 1])
+    m = m * _elementary(3, 20, 0, 2, -zeta(4))
+    mul = CycNum.__mul__
+    products = []
+
+    def counted(x, y):
+        products.append(1)
+        return mul(x, y)
+
+    monkeypatch.setattr(CycNum, "__mul__", counted)
+    monkeypatch.setattr(CycNum, "__rmul__", counted)
+    assert eigen_exponents(m, 5).as_dict() == {0: 1, 1: 1, 2: 1}
+    assert products == []

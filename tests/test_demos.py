@@ -1,6 +1,7 @@
 """The demos import only names the package still has.
 
-Demos are parsed, not run: two of them take several seconds each.
+Demos are parsed here, not run; the CI workflow runs each one and fails on
+a non-zero exit.
 """
 
 import ast

@@ -1,11 +1,13 @@
 import json
 import math
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from yagita import cyclo
 from yagita.cyclo import CycNum, cyclotomic_poly, zeta
 from yagita.exactmat import (
     CapExceededError,
@@ -21,6 +23,7 @@ from yagita.exactmat import (
     relations_check,
 )
 from yagita.exactmat import _det_cofactor
+from yagita.numutil import euler_phi
 from yagita.ringspec import parse_ring
 from yagita.witness import witness_menu
 
@@ -90,6 +93,10 @@ def _dense_product(a, b):
         [[sum((a[i, k] * b[k, j] for k in range(n)), CycNum.rational(0))
           for j in range(n)] for i in range(n)]
     )
+
+
+def _entry_keys(m):
+    return [[x.key() for x in row] for row in m.rows]
 
 
 def _dense_bareiss(a):
@@ -166,7 +173,8 @@ def test_product_and_det_match_dense_formulas(operands):
     # sizes 1 to 4 take the cofactor determinant, 5 to 7 Bareiss
     a, b = operands
     ab = a * b
-    assert ab == _dense_product(a, b) and ab.conductor == a.conductor
+    assert _entry_keys(ab) == _entry_keys(_dense_product(a, b).embed(a.conductor))
+    assert ab.conductor == a.conductor
     assert all(x.conductor == a.conductor for row in ab.rows for x in row)
     assert det(a) == _dense_bareiss(a)
     assert det(b) == _dense_bareiss(b)
@@ -185,9 +193,22 @@ def _count_number_products(monkeypatch):
     return products
 
 
+def _count_coordinate_products(monkeypatch):
+    conv = cyclo._mul_into
+    calls = []
+
+    def counted(acc, an, bn):
+        calls.append(1)
+        conv(acc, an, bn)
+
+    monkeypatch.setattr(cyclo, "_mul_into", counted)
+    return calls
+
+
 def test_sparse_product_count(monkeypatch):
     # a signed permutation matrix has one nonzero entry per row, so each
-    # entry of the product is one term: n**2 products, not n**3
+    # entry of the product is one term: n**2 coordinate products (one per
+    # term, none through CycNum.__mul__), not n**3
     n = 6
     rng = random.Random(3)
     perm = rng.sample(range(n), n)
@@ -195,8 +216,64 @@ def test_sparse_product_count(monkeypatch):
     d = CycMatrix([[rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(n)] for _ in range(n)])
     want = CycMatrix([[(-1) ** i * d[perm[i], j] for j in range(n)] for i in range(n)])
     products = _count_number_products(monkeypatch)
+    terms = _count_coordinate_products(monkeypatch)
     assert s * d == want
-    assert len(products) == n * n
+    assert len(terms) == n * n == 36
+    assert products == []
+
+
+@st.composite
+def mixed_conductor_operands(draw):
+    """Two n x n matrices over Q(zeta_ca) and Q(zeta_cb), with coordinates
+    up to 10**20 in size, denominators that differ within a row, and zero
+    entries."""
+    n = draw(st.integers(1, 5))
+    conds = draw(st.sampled_from([(4, 5), (3, 4), (1, 12), (12, 12)]))
+    coord = st.integers(-(10**20), 10**20)
+
+    def matrix(cond):
+        def entry():
+            if draw(st.integers(0, 3)) == 0:
+                return CycNum(cond, ())
+            num = draw(st.lists(coord, min_size=1, max_size=euler_phi(cond)))
+            return CycNum(cond, num, draw(st.sampled_from([1, 2, 3, 4, 6, 35])))
+
+        return CycMatrix([[entry() for _ in range(n)] for _ in range(n)], cond)
+
+    return matrix(conds[0]), matrix(conds[1])
+
+
+def _rescale_operands():
+    # one row whose terms have denominators 2, 3 and 1: the running sum is
+    # rescaled to their lcm, and 1/2 + 1/3 - 5/6 cancels to a canonical zero
+    a = CycMatrix([[Fraction(1, 2), Fraction(1, 3), 1], [0, 1, 0], [0, 0, 1]], 5)
+    b = CycMatrix([[1, 0, 0], [1, 1, 0], [Fraction(-5, 6), 0, zeta(5)]], 5)
+    return a, b
+
+
+def _dense_cyclotomic_operands():
+    # the size and field of the largest dense chern matrices
+    rng = random.Random(13)
+    return tuple(
+        CycMatrix(
+            [[CycNum(13, [rng.randint(-3, 3) for _ in range(12)]) for _ in range(12)]
+             for _ in range(12)]
+        )
+        for _ in range(2)
+    )
+
+
+@given(mixed_conductor_operands())
+@example(_rescale_operands())
+@example(_dense_cyclotomic_operands())
+@settings(max_examples=60, deadline=None)
+def test_product_entries_match_dense_reference(operands):
+    # the lazily reduced entries are the canonical ones, coordinate for
+    # coordinate and denominator for denominator, over the lcm conductor
+    a, b = operands
+    ab = a * b
+    assert ab.conductor == math.lcm(a.conductor, b.conductor)
+    assert _entry_keys(ab) == _entry_keys(_dense_product(a, b).embed(ab.conductor))
 
 
 def test_sparse_det_count(monkeypatch):
