@@ -1,9 +1,9 @@
 """Total Chern classes mod p of order-p matrices, and the divisor bound.
 
 An order-p matrix splits over C into one-dimensional eigenspaces with
-eigenvalues zeta_p**a; the multiplicity of each exponent a is recovered
-exactly by character orthogonality from one trace and its Galois
-conjugates (no polynomial factorization needed).  The total Chern class of
+eigenvalues zeta_p**a; the multiplicity of each exponent a is read exactly
+off the one trace of the matrix by the trace form of Q(zeta_p), in integer
+steps linear in p (no polynomial factorization).  The total Chern class of
 the corresponding representation of the cyclic group is then the product of
 (1 + a*x)^(multiplicity of a) over F_p, and the gcd of its exponents is an
 upper-bound divisor for how deep the restricted cohomology image can sit.
@@ -12,13 +12,13 @@ upper-bound divisor for how deep the restricted cohomology image can sit.
 from __future__ import annotations
 
 import math
-
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .cyclo import CycNum, _sum_of_products, zeta
+from .cyclo import CycNum
 from .exactmat import CycMatrix, MatrixGroup, order_p_cyclic_subgroups
 from .fppoly import INFINITY, FpPoly
-from .numutil import is_prime
+from .numutil import euler_phi, is_prime, ramanujan_sum
 
 
 class MultiplicityError(ArithmeticError):
@@ -49,36 +49,35 @@ class EigenExponents:
 
 
 def eigen_exponents(m: CycMatrix, p: int) -> EigenExponents:
-    """Exact eigenvalue-exponent multiplicities of a matrix with m**p = I.
-
-    multiplicity(a) = (1/p) * sum_k trace(m**k) * zeta_p**(-a k), evaluated
-    in the cyclotomic field of conductor N = lcm(conductor, p).  As the
-    eigenvalues are p-th roots of unity, trace(m**k) is the image of trace(m)
-    under zeta_N -> zeta_N**c for a unit c = k mod p.  Each value must be a
-    nonnegative rational integer and they must sum to the size.
-    """
+    """Exact eigenvalue-exponent multiplicities of a matrix with m**p = I;
+    raises ValueError for a composite p or a matrix of another order."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    n = m.size
-    if m**p != CycMatrix.identity(n, m.conductor):
+    if m**p != CycMatrix.identity(m.size, m.conductor):
         raise ValueError("matrix does not satisfy m**p = identity")
-    cond = math.lcm(m.conductor, p)
-    tr = m.trace().embed(cond)
-    traces = [CycNum(cond, (n,))]
-    for k in range(1, p):
-        # k + p*j meets every residue mod the prime-to-p part of cond
-        c = next(c for c in range(k, cond + k, p) if math.gcd(c, cond) == 1)
-        traces.append(tr.galois(c))
-    step = cond // p  # zeta_cond**step is a primitive p-th root of unity
-    roots = [zeta(cond, k * step) for k in range(p)]
+    return exponents_from_trace(m.trace(), m.size, p)
+
+
+def exponents_from_trace(t: CycNum, n: int, p: int) -> EigenExponents:
+    """Multiplicities of the eigenvalues zeta_p**a of an n x n matrix of
+    order dividing the prime p, from its trace t alone.
+
+    The eigenvalues are p-th roots of unity, so t lies in Q(zeta_p) and the
+    trace form gives p * mult(a) = n + Tr_{Q(zeta_p)/Q}(t * zeta_p**(-a)).
+    With t = sum t_i zeta_c**i / d over its conductor c and N = lcm(c, p),
+    that trace is (p - 1) / phi(N) times the trace from Q(zeta_N), which is
+    sum t_i c_N(k*i - a*N/p) / d with k = N/c and c_N the Ramanujan sum.
+    Each value must be a nonnegative rational integer and they must sum to n.
+    """
+    big = math.lcm(t.conductor, p)
+    k, step = big // t.conductor, big // p
+    terms = [(k * i, ti) for i, ti in enumerate(t.num) if ti]
+    den = euler_phi(big) * t.den
     mults = []
     for a in range(p):
-        # the p terms are summed on coordinates and reduced once
-        acc = _sum_of_products(
-            cond, ((t, roots[-a * k % p]) for k, t in enumerate(traces))
-        )
-        v = CycNum(cond, acc.num, acc.den * p).as_rational()
-        if v is None or v.denominator != 1 or v < 0:
+        acc = sum(ti * ramanujan_sum(big, j - a * step) for j, ti in terms)
+        v = (n + Fraction((p - 1) * acc, den)) / p
+        if v.denominator != 1 or v < 0:
             raise MultiplicityError(
                 f"multiplicity of exponent {a} came out {v!r}; arithmetic bug"
             )
@@ -121,10 +120,10 @@ def yagita_upper_witness(group: MatrixGroup, p: int):
     factoring through this matrix group.  Groups without order-p elements
     give 1 (empty lcm); infinite entries impose no constraint and are
     skipped."""
-    reps = order_p_cyclic_subgroups(group, p)
     finite = []
-    for m in reps:
-        v = n_upper(eigen_exponents(m, p))
+    # the scan has proved m**p = I for each representative
+    for m in order_p_cyclic_subgroups(group, p):
+        v = n_upper(exponents_from_trace(m.trace(), m.size, p))
         if v != INFINITY:
             finite.append(2 * int(v))
     return math.lcm(*finite) if finite else 1

@@ -16,6 +16,7 @@ import random
 import sys
 
 from .chern import eigen_exponents, n_upper, total_chern
+from .cyclo import json_int
 from .exactmat import DEFAULT_CAP, MAX_MATRIX_SIZE, CapExceededError, CycMatrix
 from .fppoly import INFINITY, check_prop6, parse_fp_poly, random_unit_root_product
 from .formulas import yagita_gl, yagita_sl
@@ -104,11 +105,11 @@ def _read_matrix(path: str) -> CycMatrix:
             )
         cond = 1
         for c in [obj["conductor"]] + [x["conductor"] for row in rows for x in row]:
-            cond = math.lcm(cond, int(c))
+            cond = math.lcm(cond, json_int(c))
             if cond > MAX_PRIME:
                 raise ValueError(f"conductor {cond} exceeds the cap {MAX_PRIME}")
         for x in (x for row in rows for x in row):
-            num, n = x["num"], int(x["conductor"])
+            num, n = x["num"], json_int(x["conductor"])
             if n < 1:
                 raise ValueError(f"conductor {n} is not positive")
             if not isinstance(num, list):

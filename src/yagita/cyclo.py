@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from fractions import Fraction
 
 from .numutil import divisors, euler_phi, power
 
-__all__ = ["CycNum", "zeta", "cyclotomic_poly"]
+__all__ = ["CycNum", "zeta", "cyclotomic_poly", "json_int"]
 
 
 # ---------------------------------------------------------------------------
@@ -89,8 +90,8 @@ def _mul_into(acc: list[int], an, bn) -> None:
     """Add the coordinate product of an and bn into acc, unreduced:
     ``an[i] * bn[j]`` goes to ``acc[i + j]``, so acc needs length
     len(an) + len(bn) - 1.  Zero coordinates are skipped.
-    ``CycNum.__mul__``, the matrix product and the Chern character sum all
-    multiply numbers through this one routine."""
+    ``CycNum.__mul__`` and the matrix product both multiply numbers through
+    this one routine."""
     if len(an) == 1 == len(bn):  # two rationals
         acc[0] += an[0] * bn[0]
         return
@@ -386,7 +387,8 @@ class CycNum:
 
     @classmethod
     def from_json(cls, obj: dict) -> CycNum:
-        return cls(int(obj["conductor"]), [int(c) for c in obj["num"]], int(obj["den"]))
+        num = [json_int(c) for c in obj["num"]]
+        return cls(json_int(obj["conductor"]), num, json_int(obj["den"]))
 
     def __repr__(self) -> str:
         return f"CycNum({self.conductor}, {self.num}, {self.den})"
@@ -411,6 +413,17 @@ class CycNum:
                     parts.append(f"{c}*{mono}")
         body = " + ".join(parts).replace("+ -", "- ")
         return body if self.den == 1 else f"({body})/{self.den}"
+
+
+def json_int(value) -> int:
+    """An integer field read from JSON: a JSON integer or a decimal-integer
+    string.  Floats, booleans and everything else raise ValueError, so a
+    malformed file is never read as some other number."""
+    if type(value) is int:
+        return value
+    if isinstance(value, str) and re.fullmatch("-?[0-9]+", value):
+        return int(value)
+    raise ValueError(f"expected an integer, got {value!r:.40}")
 
 
 def zeta(n: int, k: int = 1) -> CycNum:

@@ -18,7 +18,7 @@ import math
 from collections import defaultdict
 from fractions import Fraction
 
-from .cyclo import CycNum, _sum_of_products
+from .cyclo import CycNum, _sum_of_products, json_int
 from .numutil import power
 
 DEFAULT_CAP = 10**6
@@ -187,7 +187,7 @@ class CycMatrix:
     def from_json(cls, obj: dict) -> CycMatrix:
         return cls(
             [[CycNum.from_json(x) for x in row] for row in obj["entries"]],
-            int(obj["conductor"]),
+            json_int(obj["conductor"]),
         )
 
     def __repr__(self) -> str:

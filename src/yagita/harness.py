@@ -27,7 +27,7 @@ import json
 import math
 from dataclasses import dataclass, fields, is_dataclass
 
-from .chern import eigen_exponents, n_upper
+from .chern import exponents_from_trace, n_upper
 from .exactmat import DEFAULT_CAP, MatrixGroup, order_p_cyclic_subgroups
 from .fppoly import INFINITY, mp_q_decompose
 from .formulas import yagita_gl, yagita_sl, yagita_sl_Z
@@ -81,8 +81,9 @@ def _chern_scan(vw: VerifiedWitness, p: int) -> tuple:
     group = MatrixGroup.from_elements(w.generators, vw.elements)
     l_w = compute_l(w.ring, p)
     rows = []
+    # the scan has proved mrep**p = I for each representative
     for idx, mrep in enumerate(order_p_cyclic_subgroups(group, p)):
-        nu = n_upper(eigen_exponents(mrep, p))
+        nu = n_upper(exponents_from_trace(mrep.trace(), mrep.size, p))
         if nu == INFINITY:
             rows.append((idx, "infinity", "infinity", "infinity", True, True))
         else:

@@ -44,6 +44,16 @@ def euler_phi(n: int) -> int:
     return out
 
 
+def ramanujan_sum(n: int, j: int) -> int:
+    """Tr_{Q(zeta_n)/Q}(zeta_n**j), the Ramanujan sum c_n(j): with
+    g = gcd(j, n) it is mu(n/g) * phi(n) / phi(n/g)."""
+    q = n // math.gcd(j, n)
+    f = factorize(q)
+    if any(e > 1 for e in f.values()):
+        return 0
+    return (-1) ** len(f) * euler_phi(n) // euler_phi(q)
+
+
 def divisors(n: int) -> list[int]:
     """All positive divisors of n, sorted ascending."""
     out = [1]

@@ -115,40 +115,34 @@ class WitnessEmbedding:
 # building blocks
 
 
+def _coordinate_matrix(images) -> CycMatrix:
+    """The integer matrix whose column j is the power-basis coordinate
+    vector of images[j]: the matrix on the basis 1, zeta, ... of Z[zeta]
+    of the linear map sending zeta**j to images[j]."""
+    if any(x.den != 1 for x in images):
+        raise WitnessError(
+            "non-integral entry; restriction of scalars needs Z[zeta_p] entries"
+        )
+    return CycMatrix(list(zip(*(x.num for x in images))))
+
+
 def regular_rep_zeta(p: int) -> CycMatrix:
     """Multiplication by zeta_p on the power basis of Z[zeta_p]: the
     (p-1) x (p-1) integer companion matrix of the p-th cyclotomic
-    polynomial (last column all -1)."""
+    polynomial."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    n = p - 1
-    rows = [[0] * n for _ in range(n)]
-    for j in range(n - 1):
-        rows[j + 1][j] = 1
-    for i in range(n):
-        rows[i][n - 1] = -1
-    return CycMatrix(rows)
+    return _coordinate_matrix([zeta(p, j + 1) for j in range(p - 1)])
 
 
 def galois_rep(p: int, g: int) -> CycMatrix:
     """The Galois automorphism zeta -> zeta**g on the power basis of
-    Z[zeta_p], as an integer matrix (exponents p-1 fold back via the
-    relation 1 + zeta + ... + zeta^(p-1) = 0)."""
+    Z[zeta_p], as an integer matrix."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    g %= p
-    if math.gcd(g, p) != 1:
+    if g % p == 0:
         raise ValueError(f"{g} is not a unit mod {p}")
-    n = p - 1
-    rows = [[0] * n for _ in range(n)]
-    for j in range(n):
-        e = g * j % p
-        if e < n:
-            rows[e][j] = 1
-        else:
-            for i in range(n):
-                rows[i][j] = -1
-    return CycMatrix(rows)
+    return _coordinate_matrix([zeta(p, g * j) for j in range(p - 1)])
 
 
 def _least_unit_of_order(p: int, m: int) -> int:
@@ -365,42 +359,22 @@ def build_extraspecial_monomial(p: int, m: int) -> WitnessEmbedding:
 
 
 def blow_up_matrix(mat: CycMatrix, p: int) -> CycMatrix:
-    """Restriction of scalars for one matrix over Z[zeta_p]: each entry
-    a = sum c_k zeta^k becomes the integer block sum c_k R^k, with R the
-    multiplication-by-zeta matrix.  The entry map is a ring homomorphism,
-    so this commutes with matrix products."""
+    """Restriction of scalars for one matrix over Z[zeta_p]: each entry x
+    becomes the integer block of multiplication by x on the power basis of
+    Z[zeta_p].  The entry map is a ring homomorphism, so this commutes with
+    matrix products."""
     if not is_prime(p):
         raise WitnessError(f"conductor {p} is not prime")
-    reg = regular_rep_zeta(p)
-    powers = [CycMatrix.identity(p - 1)]
-    for _ in range(p - 2):
-        powers.append(powers[-1] * reg)
-    zero = CycNum.rational(0)
-
-    def entry_block(x: CycNum) -> list[list[CycNum]]:
-        if x.den != 1:
-            raise WitnessError(
-                "non-integral entry; restriction of scalars needs Z[zeta_p] entries"
-            )
-        grid = [[zero] * (p - 1) for _ in range(p - 1)]
-        for k, c in enumerate(x.num):
-            if c:
-                blk = powers[k]
-                for i in range(p - 1):
-                    for j in range(p - 1):
-                        grid[i][j] = grid[i][j] + c * blk.rows[i][j]
-        return grid
-
-    mat = mat.embed(p) if mat.conductor != p else mat
-    n = mat.size
-    big = [[None] * (n * (p - 1)) for _ in range(n * (p - 1))]
-    for i in range(n):
-        for j in range(n):
-            blk = entry_block(mat.rows[i][j])
-            for bi in range(p - 1):
-                for bj in range(p - 1):
-                    big[i * (p - 1) + bi][j * (p - 1) + bj] = blk[bi][bj]
-    return CycMatrix(big)
+    mat = mat.embed(p)
+    blocks = {}  # witness entries are mostly 0 and roots of unity
+    rows = []
+    for row in mat.rows:
+        for x in row:
+            if x.key() not in blocks:
+                images = [x * zeta(p, k) for k in range(p - 1)]
+                blocks[x.key()] = _coordinate_matrix(images).rows
+        rows += [sum((blocks[x.key()][i] for x in row), ()) for i in range(p - 1)]
+    return CycMatrix(rows)
 
 
 def blow_up(w: WitnessEmbedding) -> WitnessEmbedding:

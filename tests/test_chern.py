@@ -47,6 +47,13 @@ def test_eigen_exponents_identity():
     assert e.multiplicities[0] == 2  # m_0 = n for the identity
 
 
+def test_eigen_exponents_at_large_primes():
+    # the cost is linear in p once m**p = I is checked
+    assert eigen_exponents(CycMatrix.identity(1), 9973).as_dict() == {0: 1}
+    m = CycMatrix.diagonal([zeta(211, a) for a in (1, 5, 5, 210)])
+    assert eigen_exponents(m, 211).as_dict() == {1: 1, 5: 2, 210: 1}
+
+
 def test_eigen_exponents_requires_mp_identity():
     with pytest.raises(ValueError):
         eigen_exponents(CycMatrix.diagonal([zeta(4)]), 3)
@@ -188,7 +195,7 @@ def conjugated_order_p_matrices(draw):
     conjugated by elementary matrices over Q(zeta_conductor); conductors
     with p not dividing, dividing once and dividing twice."""
     p = draw(st.sampled_from([2, 3, 5, 7]))
-    cond = draw(st.sampled_from(sorted({1, 4, 12, p, 2 * p, p * p, 4 * p})))
+    cond = draw(st.sampled_from(sorted({1, 4, 12, 15, p, 2 * p, p * p, 4 * p})))
     kinds = ["one", "companion"] + (["zeta"] if cond % p == 0 else [])
     mults = [0] * p
     diag = []
@@ -223,9 +230,9 @@ def test_eigen_exponents_matches_power_traces(case):
 
 
 def test_eigen_exponents_makes_no_number_products(monkeypatch):
-    # the p terms of each residue's character sum are added on coordinates
-    # and reduced once, and the m**p check goes through the matrix kernel,
-    # so no CycNum product is made at all
+    # the multiplicities are integer Ramanujan sums over the coordinates of
+    # the trace, and the m**p check goes through the matrix kernel, so no
+    # CycNum product is made at all
     m = _elementary(3, 20, 0, 2, zeta(4)) * CycMatrix.diagonal([zeta(5), zeta(5, 2), 1])
     m = m * _elementary(3, 20, 0, 2, -zeta(4))
     mul = CycNum.__mul__

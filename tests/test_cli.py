@@ -1,7 +1,14 @@
+import contextlib
+import io
 import json
+import os
 import random
+import re
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from yagita.cli import main
 from yagita.exactmat import CycMatrix
@@ -198,6 +205,18 @@ def _entry(conductor=1, num=(0,), den=1):
             {"size": 1, "conductor": 1, "entries": [[_entry(0)]]},
             "conductor 0 is not positive",
         ),
+        (  # read as 1 by int(), so the identity's answer came out
+            {"size": 1, "conductor": 1, "entries": [[_entry(1, (1.5,))]]},
+            "expected an integer, got 1.5",
+        ),
+        (
+            {"size": 1, "conductor": 1, "entries": [[_entry(1, (1,), 1.9)]]},
+            "expected an integer, got 1.9",
+        ),
+        (
+            {"size": 1, "conductor": 1, "entries": [[_entry(2.5, (1,))]]},
+            "expected an integer, got 2.5",
+        ),
     ],
 )
 def test_chern_rejects_bad_matrix_file(tmp_path, capsys, monkeypatch, matrix, message):
@@ -213,3 +232,88 @@ def test_chern_rejects_bad_matrix_file(tmp_path, capsys, monkeypatch, matrix, me
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def _is_int(v) -> bool:
+    return type(v) is int or (isinstance(v, str) and re.fullmatch("-?[0-9]+", v) is not None)
+
+
+def _all_fields_integers(obj) -> bool:
+    """Whether every conductor, den and num coefficient in a JSON tree is
+    an integer (a JSON integer or a decimal-integer string)."""
+    if isinstance(obj, list):
+        return all(_all_fields_integers(x) for x in obj)
+    if not isinstance(obj, dict):
+        return True
+    for key, v in obj.items():
+        if key in ("conductor", "den") and not _is_int(v):
+            return False
+        if key == "num" and not (isinstance(v, list) and all(_is_int(c) for c in v)):
+            return False
+        if not _all_fields_integers(v):
+            return False
+    return True
+
+
+_junk = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([1.0, -1.0, 0.0, 2.5]),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=3),
+    st.sampled_from(["1", "-1", " 1", "1.0", "0"]),
+    st.sampled_from([0, -1, 10007, 10**30, 9973]),
+    st.lists(st.integers(-1, 1), max_size=2),
+)
+
+
+@st.composite
+def matrix_files(draw):
+    """A diagonal matrix of +-1 entries (so m**2 = I) as a JSON tree, with
+    a few fields replaced by junk and maybe a row or an entry too many or
+    too few."""
+    n = draw(st.integers(1, 3))
+    conds = st.sampled_from([1, 2, 4, 15, 9973])
+    entries = [
+        [
+            {"conductor": draw(conds), "num": [draw(st.sampled_from([1, -1])) if i == j else 0],
+             "den": 1}
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+    obj = {"conductor": draw(conds), "entries": entries}
+    for _ in range(draw(st.integers(0, 3))):
+        x = entries[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))]
+        field = draw(st.sampled_from(["top", "conductor", "den", "num", "coeff"]))
+        if field == "top":
+            obj["conductor"] = draw(_junk)
+        elif field != "coeff":
+            x[field] = draw(_junk)
+        elif isinstance(x["num"], list):
+            x["num"].append(draw(_junk))
+    shape = draw(st.sampled_from(["square", "wide row", "short row", "short"]))
+    if shape == "wide row":
+        entries[0].append({"conductor": 1, "num": [0], "den": 1})
+    elif shape == "short row":
+        entries[-1].pop()
+    elif shape == "short":
+        entries.pop()
+    return obj
+
+
+@given(matrix_files())
+@settings(max_examples=150, deadline=None)
+def test_chern_matrix_file_fuzz(obj):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["chern", "--matrix-file", path, "--prime", "2"])
+    assert code in (0, 1)
+    if code == 0:
+        assert _all_fields_integers(obj), obj
+    else:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ")

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -6,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from yagita.cyclo import CycNum, cyclotomic_poly, zeta
-from yagita.numutil import is_prime
+from yagita.cyclo import CycNum, cyclotomic_poly, json_int, zeta
+from yagita.numutil import is_prime, ramanujan_sum
 
 
 def poly_mul(a, b):
@@ -168,6 +169,24 @@ def test_json_round_trip():
     x = CycNum(12, (1, -2, 0, 3), 5)
     blob = json.dumps(x.to_json())
     assert CycNum.from_json(json.loads(blob)) == x
+
+
+@pytest.mark.parametrize("value", [1.0, 1.5, True, None, " 1", "1.0", "", [1]])
+def test_json_int_rejects_non_integers(value):
+    with pytest.raises(ValueError):
+        json_int(value)
+
+
+def test_json_int_reads_integers_and_decimal_strings():
+    assert [json_int(v) for v in (7, -7, "12", "-3", "0")] == [7, -7, 12, -3, 0]
+
+
+def test_ramanujan_sum_is_the_trace_of_a_root_of_unity():
+    for n in range(1, 31):
+        units = [k for k in range(1, n + 1) if math.gcd(k, n) == 1]
+        for j in range(-1, n):
+            trace = sum((zeta(n, j).galois(k) for k in units), CycNum.rational(0))
+            assert trace == ramanujan_sum(n, j)
 
 
 def test_equality_across_conductors():

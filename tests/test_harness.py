@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from yagita import harness, witness
-from yagita.exactmat import CycMatrix
+from yagita.exactmat import CycMatrix, MatrixGroup, order_p_cyclic_subgroups
 from yagita.harness import (
     FAIL,
     INCOMPLETE,
@@ -171,3 +171,27 @@ def test_each_witness_verified_once_and_no_elements_cached(monkeypatch):
     assert dict(calls) == dict.fromkeys(distinct, 1)
     assert len(harness._checked) == len(distinct)
     assert [m for v in harness._checked.values() for m in _matrices_in(v)] == []
+
+
+def test_chern_scan_takes_one_pth_power_per_scanned_element(monkeypatch):
+    # the scan proves m**p = I for each representative, and the Chern step
+    # reads the multiplicities off the trace without proving it again
+    w = witness.build(witness.WitnessKind("E", 3, 1), Cyclotomic(3))
+    vw = witness.verify_embedding(w)
+    group = MatrixGroup.from_elements(w.generators, vw.elements)
+    powers = []
+    real = CycMatrix.__pow__
+
+    def counted(m, e):
+        powers.append(e)
+        return real(m, e)
+
+    monkeypatch.setattr(CycMatrix, "__pow__", counted)
+    reps = order_p_cyclic_subgroups(group, 3)
+    alone = list(powers)
+    powers.clear()
+    rows = harness._chern_scan(vw, 3)
+    # exponent 3: each of the 13 subgroups is scanned at its first element
+    assert alone == [3] * len(reps) == [3] * 13
+    assert powers == alone
+    assert len(rows) == len(reps)
