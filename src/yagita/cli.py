@@ -17,35 +17,26 @@ import sys
 
 from .chern import eigen_exponents, n_upper, total_chern
 from .cyclo import json_int
-from .exactmat import DEFAULT_CAP, MAX_MATRIX_SIZE, CapExceededError, CycMatrix
+from .exactmat import MAX_MATRIX_SIZE, CapExceededError, CycMatrix
 from .fppoly import INFINITY, check_prop6, parse_fp_poly, random_unit_root_product
 from .formulas import yagita_gl, yagita_sl
-from .harness import (
-    MAX_PRIME,
-    exit_code,
-    report_to_json,
-    table,
-    table_tsv,
-    verify_case,
-)
-from .numutil import euler_phi, is_prime
+from .harness import exit_code, report_to_json, table, table_tsv, verify_case
+from .numutil import MAX_PRIME, euler_phi, is_prime
 from .ringspec import compute_l, parse_ring
 from .witness import build, parse_kind, verify_embedding
 
 
-def _add_common(sub, *, ring=True, cap=False, seed=False):
+def _add_common(sub, *, ring=True, seed=False):
     sub.add_argument("--json", action="store_true", help="machine-readable output")
     if ring:
         sub.add_argument("--ring", default="Z", help="Z, Z[i], cyclotomic:N, quadratic:D, subcyclotomic:p:d, abstract:l:M")
-    if cap:
-        sub.add_argument("--cap", type=int, default=DEFAULT_CAP, help="closure element cap")
     if seed:
         sub.add_argument("--seed", type=int, default=0, help="seed for randomized runs")
 
 
-def _check_prime(p: int) -> int:
+def _check_prime(p: int, name: str = "--prime") -> int:
     if not is_prime(p) or p > MAX_PRIME:
-        raise ValueError(f"--prime must be a prime <= {MAX_PRIME}")
+        raise ValueError(f"{name} must be a prime <= {MAX_PRIME}")
     return p
 
 
@@ -66,8 +57,11 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_witness(args) -> int:
-    w = build(parse_kind(args.kind), parse_ring(args.ring))
-    vw = verify_embedding(w, args.cap)
+    kind = parse_kind(args.kind)
+    if kind.p:  # Q8 and D8 carry none
+        _check_prime(kind.p, "the prime of --kind")
+    w = build(kind, parse_ring(args.ring))
+    vw = verify_embedding(w)
     if args.json:
         out = {
             "kind": str(w.kind),
@@ -152,7 +146,7 @@ def _cmd_chern(args) -> int:
 def _cmd_verify(args) -> int:
     p = _check_prime(args.prime)
     ring = parse_ring(args.ring)
-    report = verify_case(p, args.n, ring, sl=args.sl, cap=args.cap)
+    report = verify_case(p, args.n, ring, sl=args.sl)
     if args.json:
         print(report_to_json(report))
     else:
@@ -197,6 +191,8 @@ def _cmd_prop6(args) -> int:
         v = check_prop6(f)
         results.append((str(f), v))
     else:
+        if args.random < 1:
+            raise ValueError("--random must be at least 1")
         rng = random.Random(args.seed)
         for _ in range(args.random):
             f = random_unit_root_product(p, rng)
@@ -244,7 +240,7 @@ def main(argv=None) -> int:
 
     w = sub.add_parser("witness", help="construct and verify one witness group")
     w.add_argument("--kind", required=True, help="g1:p:m, g2:p:m, e:p:m, q8, d8")
-    _add_common(w, cap=True)
+    _add_common(w)
     w.set_defaults(fn=_cmd_witness)
 
     ch = sub.add_parser("chern", help="eigen exponents / total Chern class of a matrix")
@@ -257,7 +253,7 @@ def main(argv=None) -> int:
     v.add_argument("--prime", type=int, required=True)
     v.add_argument("--n", type=int, required=True)
     v.add_argument("--sl", action="store_true")
-    _add_common(v, cap=True)
+    _add_common(v)
     v.set_defaults(fn=_cmd_verify)
 
     t = sub.add_parser("table", help="GL/SL value table")

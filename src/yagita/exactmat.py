@@ -140,7 +140,7 @@ class CycMatrix:
 
     def __pow__(self, e: int) -> CycMatrix:
         if e < 0:
-            return inverse_of_finite_order(self) ** (-e)
+            e %= element_order(self)
         return power(self, e) if e else CycMatrix.identity(self.size, self.conductor)
 
     def __eq__(self, other) -> bool:
@@ -298,10 +298,6 @@ def element_order(a: CycMatrix, cap: int = DEFAULT_CAP) -> int:
     raise CapExceededError(cap, "element order search")
 
 
-def inverse_of_finite_order(a: CycMatrix, cap: int = DEFAULT_CAP) -> CycMatrix:
-    return a ** (element_order(a, cap) - 1)
-
-
 def closure(generators, cap: int = DEFAULT_CAP) -> list[CycMatrix]:
     """All elements of the group generated by the given matrices.
 
@@ -340,7 +336,7 @@ def closure(generators, cap: int = DEFAULT_CAP) -> list[CycMatrix]:
 class MatrixGroup:
     """A finitely generated matrix group with lazily enumerated elements."""
 
-    def __init__(self, generators, cap: int = DEFAULT_CAP):
+    def __init__(self, generators):
         gens = list(generators)
         if not gens:
             raise ValueError("need at least one generator")
@@ -348,7 +344,6 @@ class MatrixGroup:
         for g in gens:
             cond = math.lcm(cond, g.conductor)
         self.generators = tuple(g.embed(cond) for g in gens)
-        self.cap = cap
         self._elements: tuple[CycMatrix, ...] | None = None
 
     @classmethod
@@ -362,7 +357,7 @@ class MatrixGroup:
 
     def elements(self) -> tuple[CycMatrix, ...]:
         if self._elements is None:
-            self._elements = tuple(closure(self.generators, self.cap))
+            self._elements = tuple(closure(self.generators))
         return self._elements
 
     def order(self) -> int:
@@ -394,26 +389,28 @@ def order_p_cyclic_subgroups(group: MatrixGroup, p: int) -> list[CycMatrix]:
 Word = tuple[tuple[int, int], ...]
 
 
-def evaluate_word(gens, word: Word, cap: int = DEFAULT_CAP) -> CycMatrix:
-    gens = list(gens)
-    out = CycMatrix.identity(gens[0].size, gens[0].conductor)
-    for idx, exp in word:
-        g = gens[idx]
-        if exp < 0:
-            g = inverse_of_finite_order(g, cap)
-            exp = -exp
-        out = out * g**exp
-    return out
-
-
-def relations_check(gens, relators, cap: int = DEFAULT_CAP) -> bool:
+def relations_check(gens, relators) -> bool:
     """Whether every relator word evaluates to the identity matrix.
 
-    A relator is a sequence of (generator index, exponent) pairs; negative
-    exponents invert through the generator's finite order.
+    A relator is a sequence of (generator index, exponent) pairs.  A
+    negative exponent on generator i is read modulo k, where ((i, k),) is
+    the one-term relator for i in the same list; that relator is checked
+    too, so no order is searched for.  An inverted generator without such a
+    relator raises ValueError.
     """
     gens = list(gens)
     if not gens:
         raise ValueError("need at least one generator")
+    orders = {w[0][0]: w[0][1] for w in relators if len(w) == 1 and w[0][1] > 0}
     ident = CycMatrix.identity(gens[0].size, gens[0].conductor)
-    return all(evaluate_word(gens, w, cap) == ident for w in relators)
+    for word in relators:
+        out = ident
+        for i, e in word:
+            if e < 0:
+                if i not in orders:
+                    raise ValueError(f"generator {i} is inverted but has no order relator")
+                e %= orders[i]
+            out = out * gens[i] ** e
+        if out != ident:
+            return False
+    return True

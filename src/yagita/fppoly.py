@@ -20,7 +20,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 
-from .numutil import is_prime, power
+from .numutil import MAX_N, is_prime, power
 
 INFINITY = math.inf
 
@@ -282,6 +282,10 @@ def parse_fp_poly(text: str, p: int | None = None) -> FpPoly:
             continue
         c = int(c_str) if c_str not in (None, "+", "-") else (-1 if c_str == "-" else 1)
         e = 0 if x_part is None else (1 if exp_str is None else int(exp_str))
+        if e > MAX_N:
+            # a total Chern class of an n-dimensional representation has
+            # degree at most n
+            raise ValueError(f"exponent {e} exceeds the cap {MAX_N}")
         coeffs[e] = coeffs.get(e, 0) + c
     out = [0] * (max(coeffs, default=0) + 1)
     for e, c in coeffs.items():

@@ -15,7 +15,10 @@ witness.  The verdict is
                            certifies the full value (honest gap, not a
                            failure);
 * ``Fail``              -- a witness failed verification or a consistency
-                           check was violated.
+                           check was violated.  A witness whose group is
+                           larger than its claimed order gets no report:
+                           closure raises ``CapExceededError`` at the first
+                           element past the claim (the CLI exits 1).
 
 Report JSON serializes every integer as a decimal string so downstream
 consumers cannot lose precision.
@@ -28,10 +31,10 @@ import math
 from dataclasses import dataclass, fields, is_dataclass
 
 from .chern import exponents_from_trace, n_upper
-from .exactmat import DEFAULT_CAP, MatrixGroup, order_p_cyclic_subgroups
+from .exactmat import MatrixGroup, order_p_cyclic_subgroups
 from .fppoly import INFINITY, mp_q_decompose
 from .formulas import yagita_gl, yagita_sl, yagita_sl_Z
-from .numutil import is_prime
+from .numutil import MAX_N, MAX_PRIME, is_prime
 from .ringspec import RingSpec, compute_l, is_rational_integers
 from .witness import (
     VerifiedWitness,
@@ -44,9 +47,6 @@ PASS = "Pass"
 PASS_WITH_AMBIGUITY = "PassWithAmbiguity"
 INCOMPLETE = "Incomplete"
 FAIL = "Fail"
-
-MAX_PRIME = 10**4
-MAX_N = 4096
 
 
 @dataclass(frozen=True)
@@ -61,14 +61,14 @@ class _Checked:
     chern_rows: tuple
 
 
-# keyed by (kind, ring, padded, dimension, cap); the kind implies p
+# keyed by (kind, ring, padded, dimension); the kind implies p
 _checked: dict[tuple, _Checked] = {}
 
 
-def _check(w: WitnessEmbedding, p: int, cap: int) -> _Checked:
-    key = (str(w.kind), w.ring, w.padded, w.dimension, cap)
+def _check(w: WitnessEmbedding, p: int) -> _Checked:
+    key = (str(w.kind), w.ring, w.padded, w.dimension)
     if key not in _checked:
-        vw = verify_embedding(w, cap)
+        vw = verify_embedding(w)
         rows = _chern_scan(vw, p) if vw.ok else ()
         _checked[key] = _Checked(vw.ok, vw.order, rows)
     return _checked[key]
@@ -131,9 +131,7 @@ class VerificationReport:
     verdict: str
 
 
-def verify_case(
-    p: int, n: int, ring: RingSpec, sl: bool = False, cap: int = DEFAULT_CAP
-) -> VerificationReport:
+def verify_case(p: int, n: int, ring: RingSpec, sl: bool = False) -> VerificationReport:
     if not is_prime(p) or p > MAX_PRIME:
         raise ValueError(f"p must be a prime <= {MAX_PRIME}")
     if not 1 <= n <= MAX_N:
@@ -153,7 +151,7 @@ def verify_case(
     certified = 1
     for entry in menu:
         w = entry.embedding
-        checked = _check(w, p, cap)
+        checked = _check(w, p)
         # a verified embedding transports its group's known invariant into
         # GL_n, so that invariant must divide the GL formula value
         ambient = yagita_gl(p, w.dimension, compute_l(w.ring, p))

@@ -5,6 +5,12 @@ from __future__ import annotations
 import functools
 import math
 
+# input bounds, defined once for every module that checks them: primes and
+# ring parameters (conductors, discriminants) up to MAX_PRIME, dimensions and
+# polynomial degrees up to MAX_N
+MAX_PRIME = 10**4
+MAX_N = 4096
+
 
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization by trial division (desk-scale inputs only)."""

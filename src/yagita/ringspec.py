@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
-from .numutil import euler_phi, is_prime, squarefree_part
+from .numutil import MAX_PRIME, euler_phi, is_prime, squarefree_part
 
 
 class UnsupportedFieldError(ValueError):
@@ -175,9 +175,18 @@ def contains_zeta_p(ring: RingSpec, p: int) -> bool:
     return compute_l(ring, p) == 1
 
 
+def _bounded(text: str, name: str) -> int:
+    v = int(text)
+    if abs(v) > MAX_PRIME:
+        raise ValueError(f"|{name}| = {abs(v)} exceeds the cap {MAX_PRIME}")
+    return v
+
+
 def parse_ring(text: str) -> RingSpec:
     """Parse "Z", "Z[i]", "cyclotomic:N", "quadratic:D",
-    "subcyclotomic:p:d" or "abstract:l:M"."""
+    "subcyclotomic:p:d" or "abstract:l:M".
+
+    N, |D| and p are bounded by MAX_PRIME before anything is factored."""
     t = text.strip()
     if t == "Z":
         return RationalIntegers()
@@ -187,11 +196,11 @@ def parse_ring(text: str) -> RingSpec:
     kind = parts[0].lower()
     try:
         if kind == "cyclotomic" and len(parts) == 2:
-            return Cyclotomic(int(parts[1]))
+            return Cyclotomic(_bounded(parts[1], "N"))
         if kind == "quadratic" and len(parts) == 2:
-            return QuadraticOrder(int(parts[1]))
+            return QuadraticOrder(_bounded(parts[1], "D"))
         if kind == "subcyclotomic" and len(parts) == 3:
-            return SubCyclotomicFixedField(int(parts[1]), int(parts[2]))
+            return SubCyclotomicFixedField(_bounded(parts[1], "p"), int(parts[2]))
         if kind == "abstract" and len(parts) == 3:
             return AbstractRing(int(parts[1]), int(parts[2]))
     except ValueError as exc:

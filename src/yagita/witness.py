@@ -36,7 +36,6 @@ from dataclasses import dataclass, replace
 
 from .cyclo import CycNum, zeta
 from .exactmat import (
-    DEFAULT_CAP,
     MAX_MATRIX_SIZE,
     CycMatrix,
     Word,
@@ -183,20 +182,21 @@ def build_g1(p: int, m: int, ring: RingSpec) -> WitnessEmbedding:
     dim = m * l // math.gcd(m, l)
     if dim > MAX_MATRIX_SIZE:
         raise WitnessError(f"dimension {dim} exceeds the matrix-size cap")
-    g = _least_unit_of_order(p, m)
-    if is_rational_integers(ring):
-        a = regular_rep_zeta(p)
-        b = galois_rep(p, g)
-    elif l == 1 and not isinstance(ring, AbstractRing):
-        # monomial model: conjugation by the shift cycles the diagonal
-        # exponents through g^0, g^1, ..., g^(m-1)
-        a = CycMatrix.diagonal([zeta(p, pow(g, i, p)) for i in range(m)])
-        b = _shift_matrix(m, -1)
-    else:
+    monomial = l == 1 and not isinstance(ring, AbstractRing)
+    if not (is_rational_integers(ring) or monomial):
         raise UnsupportedFieldError(
             f"no integral model over {ring} (l = {l}); supported: Z and rings "
             "containing zeta_p"
         )
+    g = _least_unit_of_order(p, m)
+    if is_rational_integers(ring):
+        a = regular_rep_zeta(p)
+        b = galois_rep(p, g)
+    else:
+        # monomial model: conjugation by the shift cycles the diagonal
+        # exponents through g^0, g^1, ..., g^(m-1)
+        a = CycMatrix.diagonal([zeta(p, pow(g, i, p)) for i in range(m)])
+        b = _shift_matrix(m, -1)
     kind = WitnessKind("G1", p, m)
     relators: tuple[Word, ...] = (
         (((0, p),)),
@@ -452,6 +452,7 @@ def build_q8() -> WitnessEmbedding:
         claims_sl=True,
         relators=(
             ((0, 4),),
+            ((1, 4),),  # b**2 = a**2, so b**4 = a**4 = 1
             ((0, 2), (1, -2)),
             ((1, 1), (0, 1), (1, -1), (0, 1)),
         ),
@@ -499,17 +500,19 @@ class VerifiedWitness:
         }
 
 
-def verify_embedding(w: WitnessEmbedding, cap: int = DEFAULT_CAP) -> VerifiedWitness:
+def verify_embedding(w: WitnessEmbedding) -> VerifiedWitness:
     """Machine-check an embedding: enumerate the group, confirm its order,
     its presentation, the determinant claim, and the center size.
 
     Order equality plus the presentation checks pin the group: the matrices
     satisfy all relations of the abstract group, so they generate a
     quotient of it, and matching orders force an isomorphism (faithfulness).
+    The claimed order bounds the enumeration: a group with more elements
+    raises CapExceededError at the first element past the claim.
     """
-    elems = closure(w.generators, cap)
+    elems = closure(w.generators, w.expected_order)
     order_ok = len(elems) == w.expected_order
-    relations_ok = relations_check(w.generators, w.relators, cap)
+    relations_ok = relations_check(w.generators, w.relators)
     central_ok = all(
         w.generators[i] * w.generators[j] == s * (w.generators[j] * w.generators[i])
         for i, j, s in w.central_commutations

@@ -5,6 +5,7 @@ import os
 import random
 import re
 import tempfile
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from yagita.cli import main
 from yagita.exactmat import CycMatrix
-from yagita.witness import build_extraspecial_monomial
+from yagita.witness import build_extraspecial_monomial, build_q8
 
 
 def run(capsys, *argv):
@@ -144,18 +145,84 @@ def test_error_path_returns_1(capsys):
     assert code == 1
 
 
+def test_witness_larger_than_claimed_exits_1(capsys, monkeypatch):
+    # the claimed order bounds the closure: Q8 claimed as a group of order
+    # 4 stops at its fifth element, after at most 4 * 2 products
+    import yagita.cli
+
+    monkeypatch.setattr(
+        yagita.cli, "build", lambda kind, ring: replace(build_q8(), expected_order=4)
+    )
+    products = []
+    mul = CycMatrix.__mul__
+
+    def counted(a, b):
+        products.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(CycMatrix, "__mul__", counted)
+    assert main(["witness", "--kind", "q8"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: group closure exceeded cap 4\n"
+    assert 0 < len(products) <= 4 * 2
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ["verify", "--prime", "3", "--n", "6", "--cap", "5"],
-        ["witness", "--kind", "q8", "--cap", "5"],
+        (
+            ["compute", "--prime", "3", "--n", "2", "--ring", "quadratic:1000000000000000003"],
+            "bad ring spec 'quadratic:1000000000000000003': "
+            "|D| = 1000000000000000003 exceeds the cap 10000",
+        ),
+        (
+            ["compute", "--prime", "3", "--n", "2", "--ring", "quadratic:-10001"],
+            "bad ring spec 'quadratic:-10001': |D| = 10001 exceeds the cap 10000",
+        ),
+        (
+            ["compute", "--prime", "3", "--n", "2",
+             "--ring", "subcyclotomic:1000000000000000003:1"],
+            "bad ring spec 'subcyclotomic:1000000000000000003:1': "
+            "|p| = 1000000000000000003 exceeds the cap 10000",
+        ),
+        (
+            ["verify", "--prime", "3", "--n", "2", "--sl", "--ring", "cyclotomic:300000"],
+            "bad ring spec 'cyclotomic:300000': |N| = 300000 exceeds the cap 10000",
+        ),
+        (
+            ["witness", "--kind", "g1:100003:2", "--ring", "abstract:1:2"],
+            "the prime of --kind must be a prime <= 10000",
+        ),
+        (
+            ["witness", "--kind", "g1:9973:2", "--ring", "abstract:1:2"],
+            "no integral model over abstract:1:2 (l = 1); supported: Z and rings "
+            "containing zeta_p",
+        ),
+        (
+            ["prop6", "--prime", "3", "--poly", "x^1000000000"],
+            "exponent 1000000000 exceeds the cap 4096",
+        ),
+        (["prop6", "--prime", "3", "--random", "-5"], "--random must be at least 1"),
+        (["prop6", "--prime", "3", "--random", "0"], "--random must be at least 1"),
     ],
 )
-def test_cap_exceeded_exits_1(capsys, argv):
+def test_unbounded_input_exits_1(capsys, monkeypatch, argv, message):
+    # nothing past the bound is factored or tested for primality first
+    import yagita.ringspec
+
+    for name in ("is_prime", "euler_phi", "squarefree_part"):
+        real = getattr(yagita.ringspec, name)
+
+        def bounded(n, real=real, name=name):
+            assert abs(n) <= 10**4, f"{name}({n}) ran before the input bound"
+            return real(n)
+
+        monkeypatch.setattr(yagita.ringspec, name, bounded)
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: group closure exceeded cap 5\n"
+    assert captured.err == f"error: {message}\n"
 
 
 def _entry(conductor=1, num=(0,), den=1):

@@ -17,7 +17,6 @@ from yagita.exactmat import (
     closure,
     det,
     element_order,
-    inverse_of_finite_order,
     kron,
     order_p_cyclic_subgroups,
     relations_check,
@@ -300,11 +299,6 @@ def test_element_order():
         element_order(CycMatrix([[1, 1], [0, 1]]), cap=50)
 
 
-def test_inverse_of_finite_order():
-    j = CycMatrix([[0, -1], [1, 0]])
-    assert j * inverse_of_finite_order(j) == CycMatrix.identity(2)
-
-
 def test_closure_dihedral_8():
     j = CycMatrix([[0, -1], [1, 0]])
     d = CycMatrix([[1, 0], [0, -1]])
@@ -414,6 +408,19 @@ def test_relations_check():
     words = [((0, 3),), ((1, 2),), ((1, 1), (0, 1), (1, -1), (0, -2))]
     assert relations_check([a, b], words)
     assert not relations_check([a, b], [((0, 2),)])
+
+
+def test_relations_check_reads_inverses_by_order_relators():
+    a = CycMatrix([[0, -1], [1, -1]])  # order 3
+    b = CycMatrix([[1, -1], [0, -1]])  # order 2
+    conj = ((1, 1), (0, 1), (1, -1), (0, -2))
+    # a**-2 is read as a**1 through ((0, 3),)
+    assert relations_check([a, b], [((0, 3),), ((1, 2),), conj])
+    # no order relator for the inverted generator: nothing to read it by
+    with pytest.raises(ValueError, match="generator 1 is inverted"):
+        relations_check([a, b], [((0, 3),), conj])
+    # a false order relator fails the check itself
+    assert not relations_check([a, b], [((0, 2),), ((1, 2),), conj])
 
 
 def test_matrix_json_round_trip():

@@ -7,6 +7,7 @@ from yagita import witness
 from yagita.cyclo import CycNum, zeta
 from yagita.exactmat import CycMatrix, closure, det
 from yagita.ringspec import (
+    AbstractRing,
     Cyclotomic,
     QuadraticOrder,
     RationalIntegers,
@@ -110,6 +111,17 @@ def test_build_g1_unsupported_ring():
         build_g1(5, 3, Z)  # 3 does not divide 4
     with pytest.raises(WitnessError):
         build_g1(2, 2, Z)
+
+
+def test_build_g1_rejects_ring_before_unit_search(monkeypatch):
+    # the least unit of order m takes O(p**2) steps; a ring without a model
+    # is refused first
+    def no_search(p, m):
+        raise AssertionError("unit search ran for a ring without a model")
+
+    monkeypatch.setattr(witness, "_least_unit_of_order", no_search)
+    with pytest.raises(UnsupportedFieldError):
+        build_g1(9973, 2, AbstractRing(1, 2))
 
 
 def test_sl_pad():
@@ -313,6 +325,25 @@ def test_sl_claim_checked_on_generators(monkeypatch):
     vw = verify_embedding(w)
     assert vw.ok and vw.order == 32
     assert len(calls) == len(w.generators)
+
+
+def test_menu_verification_searches_no_order(monkeypatch):
+    # every inverse in a relator is read modulo the generator's order
+    # relator, so no order is searched for
+    import yagita.exactmat
+
+    def no_search(*args):
+        raise AssertionError("element_order called")
+
+    monkeypatch.setattr(yagita.exactmat, "element_order", no_search)
+    kinds = set()
+    for p in (2, 3, 5, 7):
+        for ring in (Z, Cyclotomic(p), Cyclotomic(4)):
+            for entry in witness_menu(p, 12, ring):
+                vw = verify_embedding(entry.embedding)
+                assert vw.ok, f"{entry.embedding} failed: {vw.summary()}"
+                kinds.add(str(entry.embedding.kind))
+    assert {"Q8", "D8", "E(2,3)", "E(3,2)", "E(7,1)", "G1(7,6)"} <= kinds
 
 
 def test_false_sl_claim_fails():
