@@ -10,6 +10,12 @@ The conductor is carried per number.  Binary operations on numbers with
 different conductors first move both into the field of conductor
 lcm(N1, N2), so plain integers, Gaussian integers and Z[zeta_p] elements mix
 freely without any global state.
+
+Every exact operation stays on integer coordinates.  Division needs no
+polynomial arithmetic over Q: for x != 0 the norm N(x), the product of the
+Galois conjugates sigma_k(x) (zeta_N -> zeta_N**k, k a unit mod N), is a
+nonzero rational, so 1/x is the product of the conjugates other than x
+itself divided by N(x).
 """
 
 from __future__ import annotations
@@ -129,76 +135,6 @@ def _sum_of_products(conductor: int, pairs) -> CycNum:
 
 
 # ---------------------------------------------------------------------------
-# polynomials over Q, used only inside the extended Euclid for inversion
-
-
-def _fpoly_trim(a):
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def _fpoly_divmod(a, b):
-    a = list(a)
-    db = len(b) - 1
-    inv_lead = Fraction(1) / b[-1]
-    q = [Fraction(0)] * max(0, len(a) - db)
-    for top in range(len(a) - 1, db - 1, -1):
-        c = a[top] * inv_lead
-        if c:
-            q[top - db] = c
-            off = top - db
-            for j in range(db + 1):
-                a[off + j] -= c * b[j]
-    return _fpoly_trim(q), _fpoly_trim(a[:db])
-
-
-def _fpoly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _fpoly_trim(out)
-
-
-def _fpoly_sub(a, b):
-    out = list(a) + [Fraction(0)] * max(0, len(b) - len(a))
-    for i, y in enumerate(b):
-        out[i] -= y
-    return _fpoly_trim(out)
-
-
-def _inverse_coords(num: tuple[int, ...], n: int) -> tuple[list[int], int]:
-    """Inverse of the algebraic number with integer coordinates num, as
-    (integer coordinates, positive denominator).
-
-    Extended Euclid of the coordinate polynomial against the (irreducible)
-    cyclotomic polynomial over Q; the gcd is a nonzero constant c and the
-    Bezout coefficient divided by c is the inverse.
-    """
-    phi = [Fraction(c) for c in cyclotomic_poly(n)]
-    r0, s0 = phi, []
-    r1 = _fpoly_trim([Fraction(c) for c in num])
-    s1 = [Fraction(1)]
-    if not r1:
-        raise ZeroDivisionError("division by zero in Q(zeta_N)")
-    while len(r1) > 1:
-        q, r = _fpoly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _fpoly_sub(s0, _fpoly_mul(q, s1))
-        if not r1:
-            raise ArithmeticError("cyclotomic modulus was not coprime to numerator")
-    c = r1[0]
-    inv = [x / c for x in s1]
-    den = math.lcm(*[f.denominator for f in inv]) if inv else 1
-    coords = [int(f * den) for f in inv]
-    return coords, den
-
-
-# ---------------------------------------------------------------------------
 
 
 class CycNum:
@@ -256,6 +192,17 @@ class CycNum:
             return None
         return Fraction(self.num[0] if self.num else 0, self.den)
 
+    def _substitute(self, conductor: int, k: int) -> CycNum:
+        """The number with zeta_N**i replaced by zeta_M**(i*k), M = conductor:
+        the one substitution loop behind ``embed`` and ``galois``."""
+        acc = [0] * euler_phi(conductor)
+        for i, c in enumerate(self.num):
+            if c:
+                for j, z in enumerate(_zeta_power(conductor, i * k % conductor)):
+                    if z:
+                        acc[j] += c * z
+        return CycNum(conductor, acc, self.den)
+
     def embed(self, conductor: int) -> CycNum:
         """The same field element re-expressed with a multiple conductor."""
         if conductor % self.conductor:
@@ -264,34 +211,35 @@ class CycNum:
             )
         if conductor == self.conductor:
             return self
-        k = conductor // self.conductor
-        acc = [0] * euler_phi(conductor)
-        for i, c in enumerate(self.num):
-            if c:
-                for j, z in enumerate(_zeta_power(conductor, i * k)):
-                    if z:
-                        acc[j] += c * z
-        return CycNum(conductor, acc, self.den)
+        return self._substitute(conductor, conductor // self.conductor)
 
     def galois(self, k: int) -> CycNum:
         """Image under the automorphism zeta_N -> zeta_N**k, gcd(k, N) = 1."""
         n = self.conductor
         if math.gcd(k, n) != 1:
             raise ValueError(f"{k} is not a unit mod {n}")
-        acc = [0] * len(self.num)
-        for i, c in enumerate(self.num):
-            if c:
-                for j, z in enumerate(_zeta_power(n, i * k % n)):
-                    if z:
-                        acc[j] += c * z
-        return CycNum(n, acc, self.den)
+        return self._substitute(n, k)
 
     def inverse(self) -> CycNum:
+        """1/x by the norm: N(x) = x * P is rational, where P is the product
+        of the conjugates sigma_k(x) over the units k != 1 mod N, so
+        1/x = P / N(x).  A rational x inverts directly."""
         if self.is_zero:
             raise ZeroDivisionError("division by zero in Q(zeta_N)")
-        coords, den = _inverse_coords(self.num, self.conductor)
-        # self = num/d  =>  1/self = d * inverse(num)
-        return CycNum(self.conductor, [self.den * c for c in coords], den)
+        n, r = self.conductor, self.as_rational()
+        if r is not None:
+            return CycNum(n, (r.denominator,), r.numerator)
+        # conjugates of the integral numerator a = den * x keep every
+        # product integral; then 1/x = den * P(a) / N(a)
+        a = CycNum(n, self.num)
+        conj = CycNum(n, (1,))
+        for k in range(2, n):
+            if math.gcd(k, n) == 1:
+                conj = conj * a.galois(k)
+        norm = (a * conj).as_rational()
+        if norm is None:
+            raise ArithmeticError("the norm of a cyclotomic number was not rational")
+        return CycNum(n, [self.den * c for c in conj.num], norm.numerator)
 
     # -- arithmetic ----------------------------------------------------------
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from fractions import Fraction
 
 from .cyclo import CycNum, _sum_of_products, json_int
 from .numutil import power
@@ -32,11 +31,10 @@ class CapExceededError(RuntimeError):
 
 
 def _coerce_entry(x) -> CycNum:
-    if isinstance(x, CycNum):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return CycNum.rational(x)
-    raise TypeError(f"cannot use {type(x).__name__} as a matrix entry")
+    c = CycNum._coerce(x)
+    if c is None:
+        raise TypeError(f"cannot use {type(x).__name__} as a matrix entry")
+    return c
 
 
 class CycMatrix:
@@ -127,16 +125,13 @@ class CycMatrix:
                     row[j] = _sum_of_products(cond, t)
                 out.append(tuple(row))
             return CycMatrix._of(tuple(out), a.conductor)
-        if isinstance(other, (int, Fraction, CycNum)):
-            s = _coerce_entry(other)
-            return CycMatrix([[s * x for x in row] for row in self.rows])
-        return NotImplemented
+        s = CycNum._coerce(other)
+        if s is None:
+            return NotImplemented
+        return CycMatrix([[s * x for x in row] for row in self.rows])
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, CycNum)):
-            s = _coerce_entry(other)
-            return CycMatrix([[s * x for x in row] for row in self.rows])
-        return NotImplemented
+    # a scalar commutes with a matrix; a matrix on the left takes __mul__
+    __rmul__ = __mul__
 
     def __pow__(self, e: int) -> CycMatrix:
         if e < 0:
@@ -167,14 +162,6 @@ class CycMatrix:
         for i in range(1, self.size):
             acc = acc + self.rows[i][i]
         return acc
-
-    def is_identity(self) -> bool:
-        one, zero = CycNum.rational(1), CycNum.rational(0)
-        return all(
-            x == (one if i == j else zero)
-            for i, row in enumerate(self.rows)
-            for j, x in enumerate(row)
-        )
 
     def to_json(self) -> dict:
         return {
@@ -225,31 +212,13 @@ def block_diag(a: CycMatrix, b: CycMatrix) -> CycMatrix:
     return CycMatrix(out, a.conductor)
 
 
-def _det_cofactor(rows, n) -> CycNum:
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    acc = CycNum.rational(0)
-    for j in range(n):
-        c = rows[0][j]
-        if c.is_zero:
-            continue
-        minor = [
-            [rows[i][k] for k in range(n) if k != j] for i in range(1, n)
-        ]
-        term = c * _det_cofactor(minor, n - 1)
-        acc = acc + (term if j % 2 == 0 else -term)
-    return acc
-
-
 def det(a: CycMatrix) -> CycNum:
-    """Exact determinant: cofactor expansion for n <= 4, fraction-free
-    Bareiss elimination (division by the previous pivot) above that.  Both
-    skip the terms with a zero factor."""
+    """Exact determinant by fraction-free Bareiss elimination for every
+    size: step k replaces each entry below and right of the pivot by
+    pivot * x - f * y divided exactly by the previous pivot (times its
+    inverse, see ``CycNum.inverse``), with a row swap at a zero pivot.
+    Terms with a zero factor are skipped."""
     n = a.size
-    if n <= 4:
-        return _det_cofactor([list(r) for r in a.rows], n)
     m = [list(r) for r in a.rows]
     z = CycNum(a.conductor, ()).num  # the coordinates of zero, as in __mul__
     sign = 1

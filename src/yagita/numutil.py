@@ -92,14 +92,3 @@ def power(x, e: int):
             out = out * x
     return out
 
-
-def multiplicative_order(g: int, n: int) -> int:
-    """Order of g in (Z/n)^x; g must be a unit mod n."""
-    g %= n
-    if math.gcd(g, n) != 1:
-        raise ValueError(f"{g} is not a unit mod {n}")
-    x, k = g, 1
-    while x != 1 % n:
-        x = x * g % n
-        k += 1
-    return k

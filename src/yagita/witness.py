@@ -46,7 +46,7 @@ from .exactmat import (
     relations_check,
 )
 from .formulas import oracle_yagita
-from .numutil import divisors, is_prime, multiplicative_order
+from .numutil import divisors, factorize, is_prime
 from .ringspec import (
     Cyclotomic,
     AbstractRing,
@@ -145,8 +145,11 @@ def galois_rep(p: int, g: int) -> CycMatrix:
 
 
 def _least_unit_of_order(p: int, m: int) -> int:
+    """The least g with multiplicative order exactly m mod p: g**m = 1 and
+    g**(m/q) != 1 for each prime q dividing m."""
+    qs = factorize(m)
     for g in range(1, p):
-        if multiplicative_order(g, p) == m:
+        if pow(g, m, p) == 1 and all(pow(g, m // q, p) != 1 for q in qs):
             return g
     raise WitnessError(f"no unit of order {m} mod {p}")
 
@@ -595,21 +598,23 @@ def witness_menu(p: int, n: int, ring: RingSpec) -> list[MenuEntry]:
     entries: list[MenuEntry] = []
     size = min(n, MAX_MATRIX_SIZE)
 
-    def add(kind: WitnessKind) -> None:
-        w = build(kind, ring)
+    def add(kind: WitnessKind, model_ring: RingSpec = ring) -> None:
+        w = build(kind, model_ring)
         entries.append(MenuEntry(w, True, w.claims_sl))
         if not w.claims_sl and w.dimension + 1 <= size:
-            entries.append(MenuEntry(build(kind, ring, True), False, True))
+            entries.append(MenuEntry(build(kind, model_ring, True), False, True))
 
     if isinstance(ring, AbstractRing):
         return entries
     if p == 2:
+        # these models do not depend on the ring: build each over the ring
+        # it lives in, so it is built once per process, not once per ring
         m = 1
         while 2**m <= size:
-            add(WitnessKind("E", 2, m))
+            add(WitnessKind("E", 2, m), RationalIntegers())
             m += 1
         if n >= 2 and roots_of_unity_order(ring) % 4 == 0:
-            add(WitnessKind("Q8"))
+            add(WitnessKind("Q8"), Cyclotomic(4))
     else:
         try:
             l = compute_l(ring, p)

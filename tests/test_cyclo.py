@@ -114,7 +114,7 @@ def test_denominator_normalization():
     assert z.num == (-1, 0) and z.den == 2
 
 
-conductors = st.sampled_from([1, 3, 4, 5, 6, 8, 12])
+conductors = st.sampled_from([1, 3, 4, 5, 6, 7, 8, 9, 12, 13, 15, 20])
 
 
 @st.composite

@@ -21,7 +21,6 @@ from yagita.exactmat import (
     order_p_cyclic_subgroups,
     relations_check,
 )
-from yagita.exactmat import _det_cofactor
 from yagita.numutil import euler_phi
 from yagita.ringspec import parse_ring
 from yagita.witness import witness_menu
@@ -63,12 +62,36 @@ def test_det_examples():
     assert det(CycMatrix(comp)) == (-1) ** n * phi5[0] == 1
 
 
+def _det_cofactor(rows):
+    """Reference: division-free cofactor expansion along the first row."""
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    acc = CycNum.rational(0)
+    for j, c in enumerate(rows[0]):
+        if not c.is_zero:
+            term = c * _det_cofactor([r[:j] + r[j + 1 :] for r in rows[1:]])
+            acc = acc + (term if j % 2 == 0 else -term)
+    return acc
+
+
 def test_det_bareiss_agrees_with_cofactor():
+    # Bareiss divides by each previous pivot through CycNum.inverse (the
+    # norm); the cofactor expansion never divides
     rng = random.Random(23)
-    for n in (5, 6):
-        for _ in range(5):
-            m = rand_int_matrix(rng, n, -2, 2)
-            assert det(m) == _det_cofactor([list(r) for r in m.rows], n)
+    for conductor in (1, 5, 8):
+        deg = euler_phi(conductor)
+        for n in range(1, 7):
+            for trial in range(3):
+                rows = [
+                    [CycNum(conductor, [rng.randint(-2, 2) for _ in range(deg)])
+                     for _ in range(n)]
+                    for _ in range(n)
+                ]
+                if trial == 0:
+                    rows[0][0] = CycNum(conductor, ())  # a zero leading pivot
+                m = CycMatrix(rows, conductor)
+                assert det(m) == _det_cofactor(m.rows)
 
 
 def test_det_multiplicative():
@@ -169,7 +192,6 @@ def kernel_operands(draw):
 @given(kernel_operands())
 @settings(max_examples=80, deadline=None)
 def test_product_and_det_match_dense_formulas(operands):
-    # sizes 1 to 4 take the cofactor determinant, 5 to 7 Bareiss
     a, b = operands
     ab = a * b
     assert _entry_keys(ab) == _entry_keys(_dense_product(a, b).embed(a.conductor))
@@ -439,7 +461,7 @@ def test_pow_and_eq():
     j = CycMatrix([[0, -1], [1, 0]])
     assert j**4 == CycMatrix.identity(2)
     assert j**-1 == j**3
-    assert (j**0).is_identity()
+    assert j**0 == CycMatrix.identity(2)
 
 
 def test_non_square_rejected():

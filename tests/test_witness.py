@@ -13,6 +13,7 @@ from yagita.ringspec import (
     RationalIntegers,
     SubCyclotomicFixedField,
     UnsupportedFieldError,
+    parse_ring,
 )
 from yagita.witness import (
     WitnessError,
@@ -375,3 +376,15 @@ def test_warm_menu_does_no_matrix_work(monkeypatch):
     menu = witness_menu(7, 7, Z)
     assert any(e.embedding.padded for e in menu)
     assert products == [] and dets == []
+
+
+def test_ring_independent_witnesses_built_once():
+    # E(2, m) and D8 live over Z whatever the ring, so the p = 2 menus over
+    # Z and over Q(zeta_8) share one built embedding (and pad) per kind
+    def e2(ring):
+        menu = witness_menu(2, 4, ring)
+        return [e.embedding for e in menu if e.embedding.kind.family != "Q8"]
+
+    over_z, over_8 = e2(Z), e2(parse_ring("cyclotomic:8"))
+    assert len(over_z) == len(over_8) == 3  # D8, its pad, E(2,2)
+    assert all(a is b for a, b in zip(over_z, over_8))
