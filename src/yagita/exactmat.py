@@ -1,11 +1,14 @@
 """Exact matrices over cyclotomic numbers and finite matrix-group closure.
 
-Matrices are square, immutable, and keep all entries over one shared
-conductor so that equality and hashing of elements inside a group
-enumeration are purely structural.  A product skips the terms with a zero
-factor and adds the other terms of each entry on unreduced integer
+Matrices are square and immutable.  Each row is stored as its nonzero
+entries only, with their columns, all over one shared conductor; that form
+is canonical, so equality and hashing of elements inside a group
+enumeration are purely structural, and every kernel touches stored entries
+only.  A product adds the terms of each entry on unreduced integer
 coordinates over one denominator, so each entry is reduced modulo the
 cyclotomic polynomial and put in lowest terms once, not once per term.
+The determinant is Gaussian elimination on the stored rows, which inverts
+a pivot only when there is something below it to eliminate.
 Group closure is a breadth-first enumeration under left multiplication by
 the generators, deduplicated by a canonical serialized key; it either
 returns the full element list or raises ``CapExceededError`` for groups
@@ -37,8 +40,18 @@ def _coerce_entry(x) -> CycNum:
     return c
 
 
+def _row(pairs) -> tuple:
+    """A stored row: the (column, entry) pairs, in increasing column order,
+    whose entry is not zero."""
+    return tuple((j, x) for j, x in pairs if not x.is_zero)
+
+
 class CycMatrix:
-    __slots__ = ("size", "conductor", "rows")
+    """A square matrix whose row i is stored as ``nonzero[i]``, the tuple of
+    (column, entry) pairs of its nonzero entries in increasing column order,
+    every entry over the one matrix conductor."""
+
+    __slots__ = ("size", "conductor", "nonzero")
 
     def __init__(self, rows, conductor: int | None = None):
         entries = [[_coerce_entry(x) for x in row] for row in rows]
@@ -49,30 +62,28 @@ class CycMatrix:
         for row in entries:
             for x in row:
                 cond = math.lcm(cond, x.conductor)
-        entries = [tuple(x.embed(cond) for x in row) for row in entries]
+        nonzero = tuple(_row((j, x.embed(cond)) for j, x in enumerate(row)) for row in entries)
         object.__setattr__(self, "size", n)
         object.__setattr__(self, "conductor", cond)
-        object.__setattr__(self, "rows", tuple(entries))
+        object.__setattr__(self, "nonzero", nonzero)
 
     def __setattr__(self, *_):
         raise AttributeError("CycMatrix is immutable")
 
     @classmethod
-    def _of(cls, rows: tuple, conductor: int) -> CycMatrix:
-        """The matrix with these rows (tuples of entries already over this
-        conductor, as a product's are), without coercing them again."""
+    def _of(cls, nonzero: tuple, conductor: int) -> CycMatrix:
+        """The matrix with these stored rows (nonzero entries already over
+        this conductor, in column order), without coercing them again."""
         m = object.__new__(cls)
-        object.__setattr__(m, "size", len(rows))
+        object.__setattr__(m, "size", len(nonzero))
         object.__setattr__(m, "conductor", conductor)
-        object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "nonzero", nonzero)
         return m
 
     @classmethod
     def identity(cls, n: int, conductor: int = 1) -> CycMatrix:
-        one, zero = CycNum.rational(1), CycNum.rational(0)
-        return cls(
-            [[one if i == j else zero for j in range(n)] for i in range(n)], conductor
-        )
+        one = CycNum(conductor, (1,))
+        return cls._of(tuple(((i, one),) for i in range(n)), conductor)
 
     @classmethod
     def diagonal(cls, diag) -> CycMatrix:
@@ -81,15 +92,24 @@ class CycMatrix:
         n = len(diag)
         return cls([[diag[i] if i == j else zero for j in range(n)] for i in range(n)])
 
+    @property
+    def rows(self) -> tuple:
+        """The dense rows, zeros (over the matrix conductor) included."""
+        zero = CycNum(self.conductor, ())
+        return tuple(
+            tuple(dict(row).get(j, zero) for j in range(self.size)) for row in self.nonzero
+        )
+
     def __getitem__(self, ij) -> CycNum:
         i, j = ij
-        return self.rows[i][j]
+        return dict(self.nonzero[i]).get(j, CycNum(self.conductor, ()))
 
     def embed(self, conductor: int) -> CycMatrix:
         if conductor == self.conductor:
             return self
-        return CycMatrix(
-            [[x.embed(conductor) for x in row] for row in self.rows], conductor
+        return CycMatrix._of(
+            tuple(tuple((j, x.embed(conductor)) for j, x in row) for row in self.nonzero),
+            conductor,
         )
 
     def _unify(self, other: CycMatrix) -> tuple[CycMatrix, CycMatrix]:
@@ -103,32 +123,24 @@ class CycMatrix:
             if self.size != other.size:
                 raise ValueError("size mismatch")
             a, b = self._unify(other)
-            # entry (i, j) sums x * y over the nonzero x = a[i][k] and only
-            # the nonzero y = b[k][j]: the pairs are gathered row by row of
-            # a and b, then each entry's pairs are summed on integer
-            # coordinates and reduced once.  Every entry is reduced over the
-            # one conductor, so an entry is zero exactly when its
-            # coordinates are those of zero.
-            cond, n = a.conductor, a.size
-            zero = CycNum(cond, ())
-            z = zero.num
-            bnz = [[(j, y) for j, y in enumerate(row) if y.num != z] for row in b.rows]
+            # entry (i, j) sums x * y over the stored x = a[i, k] and
+            # y = b[k, j]; each entry's terms are summed on integer
+            # coordinates and reduced once
+            cond, brows = a.conductor, b.nonzero
             out = []
-            for arow in a.rows:
+            for arow in a.nonzero:
                 terms = defaultdict(list)
-                for k, x in enumerate(arow):
-                    if x.num != z:
-                        for j, y in bnz[k]:
-                            terms[j].append((x, y))
-                row = [zero] * n
-                for j, t in terms.items():
-                    row[j] = _sum_of_products(cond, t)
-                out.append(tuple(row))
-            return CycMatrix._of(tuple(out), a.conductor)
+                for k, x in arow:
+                    for j, y in brows[k]:
+                        terms[j].append((x, y))
+                out.append(_row((j, _sum_of_products(cond, terms[j])) for j in sorted(terms)))
+            return CycMatrix._of(tuple(out), cond)
         s = CycNum._coerce(other)
         if s is None:
             return NotImplemented
-        return CycMatrix([[s * x for x in row] for row in self.rows])
+        m = self.embed(math.lcm(self.conductor, s.conductor))
+        out = tuple(_row((j, s * x) for j, x in row) for row in m.nonzero)
+        return CycMatrix._of(out, m.conductor)
 
     # a scalar commutes with a matrix; a matrix on the left takes __mul__
     __rmul__ = __mul__
@@ -144,24 +156,22 @@ class CycMatrix:
         if self.size != other.size:
             return False
         a, b = self._unify(other)
-        return all(x == y for ra, rb in zip(a.rows, b.rows) for x, y in zip(ra, rb))
+        return a.nonzero == b.nonzero
 
     __hash__ = None
 
     def key(self) -> tuple:
-        """Canonical hashable form (entries are already reduced and share
-        the matrix conductor)."""
+        """Canonical hashable form: the stored rows, whose entries are
+        reduced and share the matrix conductor."""
         return (
             self.size,
             self.conductor,
-            tuple((x.num, x.den) for row in self.rows for x in row),
+            tuple(tuple((j, x.num, x.den) for j, x in row) for row in self.nonzero),
         )
 
     def trace(self) -> CycNum:
-        acc = self.rows[0][0]
-        for i in range(1, self.size):
-            acc = acc + self.rows[i][i]
-        return acc
+        diag = (x for i, row in enumerate(self.nonzero) for j, x in row if j == i)
+        return sum(diag, CycNum(self.conductor, ()))
 
     def to_json(self) -> dict:
         return {
@@ -187,73 +197,55 @@ class CycMatrix:
 def kron(a: CycMatrix, b: CycMatrix) -> CycMatrix:
     """Tensor (Kronecker) product, index order (i1*nb + i2, j1*nb + j2)."""
     a, b = a._unify(b)
-    na, nb = a.size, b.size
-    out = [[None] * (na * nb) for _ in range(na * nb)]
-    for i1 in range(na):
-        for j1 in range(na):
-            x = a.rows[i1][j1]
-            for i2 in range(nb):
-                for j2 in range(nb):
-                    out[i1 * nb + i2][j1 * nb + j2] = x * b.rows[i2][j2]
-    return CycMatrix(out, a.conductor)
+    nb = b.size
+    return CycMatrix._of(
+        tuple(
+            tuple((j1 * nb + j2, x * y) for j1, x in arow for j2, y in brow)
+            for arow in a.nonzero
+            for brow in b.nonzero
+        ),
+        a.conductor,
+    )
 
 
 def block_diag(a: CycMatrix, b: CycMatrix) -> CycMatrix:
     a, b = a._unify(b)
-    zero = CycNum.rational(0)
-    n = a.size + b.size
-    out = [[zero] * n for _ in range(n)]
-    for i in range(a.size):
-        for j in range(a.size):
-            out[i][j] = a.rows[i][j]
-    for i in range(b.size):
-        for j in range(b.size):
-            out[a.size + i][a.size + j] = b.rows[i][j]
-    return CycMatrix(out, a.conductor)
+    shift = a.size
+    return CycMatrix._of(
+        a.nonzero + tuple(tuple((shift + j, y) for j, y in row) for row in b.nonzero),
+        a.conductor,
+    )
 
 
 def det(a: CycMatrix) -> CycNum:
-    """Exact determinant by fraction-free Bareiss elimination for every
-    size: step k replaces each entry below and right of the pivot by
-    pivot * x - f * y divided exactly by the previous pivot (times its
-    inverse, see ``CycNum.inverse``), with a row swap at a zero pivot.
-    Terms with a zero factor are skipped."""
-    n = a.size
-    m = [list(r) for r in a.rows]
-    z = CycNum(a.conductor, ()).num  # the coordinates of zero, as in __mul__
-    sign = 1
-    prev = CycNum.rational(1)
-    for k in range(n - 1):
-        if m[k][k].num == z:
-            for i in range(k + 1, n):
-                if m[i][k].num != z:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return CycNum.rational(0)
-        rowk = m[k]
-        pivot = rowk[k]
-        inv_prev = None if prev.is_one else prev.inverse()
-        for i in range(k + 1, n):
-            row = m[i]
-            f = None if row[k].num == z else row[k]
-            for j in range(k + 1, n):
-                # v = pivot * row[j] - f * rowk[j], without its zero terms;
-                # when both are zero the entry stays zero
-                x, y = row[j], rowk[j]
-                if f is None or y.num == z:
-                    if x.num == z:
-                        continue
-                    v = pivot * x
-                elif x.num == z:
-                    v = -(f * y)
-                else:
-                    v = pivot * x - f * y
-                row[j] = v if inv_prev is None else v * inv_prev
-        prev = pivot
-    d = m[n - 1][n - 1]
-    return d if sign == 1 else -d
+    """Exact determinant by Gaussian elimination on the stored rows: the
+    product of the pivots, negated once per row swap.  Step k takes as
+    pivot row the first row from k on whose leading entry is in column k
+    (rows below k have no entry left of column k) and subtracts multiples
+    of it from the other such rows.  The pivot is inverted only when some
+    such row exists, so a diagonal, upper triangular or monomial matrix
+    needs no inverse."""
+    n, cond = a.size, a.conductor
+    rows = list(a.nonzero)
+    d = CycNum(cond, (1,))
+    for k in range(n):
+        lead = [i for i in range(k, n) if rows[i] and rows[i][0][0] == k]
+        if not lead:
+            return CycNum(cond, ())
+        if lead[0] != k:
+            rows[k], rows[lead[0]] = rows[lead[0]], rows[k]
+            d = -d
+        (_, pivot), *rest = rows[k]
+        if len(lead) > 1:
+            inv = pivot.inverse()
+            for i in lead[1:]:
+                f = rows[i][0][1] * inv
+                row = dict(rows[i][1:])
+                for j, y in rest:
+                    row[j] = row[j] - f * y if j in row else -(f * y)
+                rows[i] = _row(sorted(row.items()))
+        d = d * pivot
+    return d
 
 
 def element_order(a: CycMatrix, cap: int = DEFAULT_CAP) -> int:

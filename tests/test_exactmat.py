@@ -76,8 +76,8 @@ def _det_cofactor(rows):
 
 
 def test_det_bareiss_agrees_with_cofactor():
-    # Bareiss divides by each previous pivot through CycNum.inverse (the
-    # norm); the cofactor expansion never divides
+    # elimination divides by its pivots through CycNum.inverse (the norm);
+    # the cofactor expansion never divides
     rng = random.Random(23)
     for conductor in (1, 5, 8):
         deg = euler_phi(conductor)
@@ -189,7 +189,38 @@ def kernel_operands(draw):
     return draw(patterned_matrices(n, cond)), draw(patterned_matrices(n, cond))
 
 
+def _rescale_operands():
+    # one row whose terms have denominators 2, 3 and 1: the running sum is
+    # rescaled to their lcm, and 1/2 + 1/3 - 5/6 cancels to a canonical zero
+    a = CycMatrix([[Fraction(1, 2), Fraction(1, 3), 1], [0, 1, 0], [0, 0, 1]], 5)
+    b = CycMatrix([[1, 0, 0], [1, 1, 0], [Fraction(-5, 6), 0, zeta(5)]], 5)
+    return a, b
+
+
+def _dense_kron(a, b):
+    na, nb = a.size, b.size
+    return CycMatrix(
+        [[a[i // nb, j // nb] * b[i % nb, j % nb] for j in range(na * nb)]
+         for i in range(na * nb)]
+    )
+
+
+def _dense_block_diag(a, b):
+    zero = CycNum.rational(0)
+    return CycMatrix(
+        [list(row) + [zero] * b.size for row in a.rows]
+        + [[zero] * a.size + list(row) for row in b.rows]
+    )
+
+
+def _assert_canonical(m):
+    # the stored rows are exactly the nonzero entries in column order, so
+    # rebuilding the matrix from its dense view changes nothing
+    assert m.key() == CycMatrix(m.rows, m.conductor).key()
+
+
 @given(kernel_operands())
+@example(_rescale_operands())
 @settings(max_examples=80, deadline=None)
 def test_product_and_det_match_dense_formulas(operands):
     a, b = operands
@@ -197,6 +228,17 @@ def test_product_and_det_match_dense_formulas(operands):
     assert _entry_keys(ab) == _entry_keys(_dense_product(a, b).embed(a.conductor))
     assert ab.conductor == a.conductor
     assert all(x.conductor == a.conductor for row in ab.rows for x in row)
+    ab_kron, ab_diag = kron(a, b), block_diag(a, b)
+    assert _entry_keys(ab_kron) == _entry_keys(_dense_kron(a, b).embed(a.conductor))
+    assert _entry_keys(ab_diag) == _entry_keys(_dense_block_diag(a, b).embed(a.conductor))
+    assert a.trace() == sum((a[i, i] for i in range(a.size)), CycNum.rational(0))
+    for s in (b[0, 0], Fraction(-2, 3), 0):
+        sa = s * a
+        dense = CycMatrix([[x * s for x in row] for row in a.rows])
+        assert _entry_keys(sa) == _entry_keys(dense.embed(sa.conductor))
+        _assert_canonical(sa)
+    for m in (ab, ab_kron, ab_diag):
+        _assert_canonical(m)
     assert det(a) == _dense_bareiss(a)
     assert det(b) == _dense_bareiss(b)
     assert det(ab) == det(a) * det(b)
@@ -264,14 +306,6 @@ def mixed_conductor_operands(draw):
     return matrix(conds[0]), matrix(conds[1])
 
 
-def _rescale_operands():
-    # one row whose terms have denominators 2, 3 and 1: the running sum is
-    # rescaled to their lcm, and 1/2 + 1/3 - 5/6 cancels to a canonical zero
-    a = CycMatrix([[Fraction(1, 2), Fraction(1, 3), 1], [0, 1, 0], [0, 0, 1]], 5)
-    b = CycMatrix([[1, 0, 0], [1, 1, 0], [Fraction(-5, 6), 0, zeta(5)]], 5)
-    return a, b
-
-
 def _dense_cyclotomic_operands():
     # the size and field of the largest dense chern matrices
     rng = random.Random(13)
@@ -297,15 +331,45 @@ def test_product_entries_match_dense_reference(operands):
     assert _entry_keys(ab) == _entry_keys(_dense_product(a, b).embed(ab.conductor))
 
 
+def _count_inverses(monkeypatch):
+    inverse = CycNum.inverse
+    calls = []
+
+    def counted(x):
+        calls.append(1)
+        return inverse(x)
+
+    monkeypatch.setattr(CycNum, "inverse", counted)
+    return calls
+
+
 def test_sparse_det_count(monkeypatch):
-    # Bareiss on a diagonal matrix: step k scales the n - 1 - k diagonal
-    # entries below it by the pivot and, from k = 1 on, by the inverse of
-    # the previous pivot, so (n - 1) + 2 * (n - 2) * (n - 1) / 2 = (n - 1)**2
+    # elimination on a diagonal matrix: no row below a pivot has an entry in
+    # its column, so nothing is eliminated, no pivot is inverted and the
+    # determinant is the product of the n pivots
     n = 8
     m = CycMatrix.diagonal(range(2, n + 2))
     products = _count_number_products(monkeypatch)
+    inverses = _count_inverses(monkeypatch)
     assert det(m) == math.factorial(n + 1)
-    assert len(products) == (n - 1) ** 2 == 49
+    assert len(products) <= n
+    assert inverses == []
+
+
+def test_monomial_det_needs_no_inverse(monkeypatch):
+    # one stored entry per column: each pivot is alone in its column, so
+    # the determinant is the signed product of the entries, with no inverse
+    n = 7
+    perm = random.Random(7).sample(range(n), n)
+    diag = CycMatrix.diagonal([zeta(7, i) for i in range(n)])
+    signed = CycMatrix(
+        [[(-1) ** i if j == perm[i] else 0 for j in range(n)] for i in range(n)], 7
+    )
+    want = [_det_cofactor(m.rows) for m in (diag, signed)]
+    inverses = _count_inverses(monkeypatch)
+    assert [det(diag), det(signed)] == want
+    assert want[0] == zeta(7, n * (n - 1) // 2)
+    assert inverses == []
 
 
 def test_element_order():
