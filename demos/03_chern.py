@@ -10,7 +10,7 @@ of the invariant computation.
 
 from yagita import (
     CycMatrix,
-    MatrixGroup,
+    closure,
     eigen_exponents,
     n_upper,
     order_p_cyclic_subgroups,
@@ -42,7 +42,7 @@ print("  n_upper(I_3 at p=3):", n_upper(eigen_exponents(CycMatrix.identity(3), 3
 print()
 print("scanning all 13 order-3 subgroups of the order-27 witness:")
 w = build_extraspecial_monomial(3, 1)
-g = MatrixGroup(w.generators)
+g = closure(w.generators)
 for i, rep in enumerate(order_p_cyclic_subgroups(g, 3)):
     print(f"  subgroup {i:2d}: n_upper = {n_upper(eigen_exponents(rep, 3))}")
 print("lcm of 2*n_upper over subgroups:", yagita_upper_witness(g, 3))

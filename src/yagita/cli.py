@@ -71,7 +71,7 @@ def _cmd_witness(args) -> int:
             "expected_yagita": str(w.expected_yagita),
             "claims_sl": w.claims_sl,
             "generators": [g.to_json() for g in w.generators],
-            "elements": [m.to_json() for m in vw.elements],
+            "elements": [vw.group.matrix(x).to_json() for x in vw.elements],
             "verification": {
                 k: (str(v) if isinstance(v, int) and not isinstance(v, bool) else v)
                 for k, v in vw.summary().items()

@@ -1,18 +1,18 @@
-"""Exact matrices over cyclotomic numbers and finite matrix-group closure.
+"""Exact matrices over cyclotomic numbers, and finite matrix groups as
+permutation groups.
 
 Matrices are square and immutable.  Each row is stored as its nonzero
 entries only, with their columns, all over one shared conductor; that form
-is canonical, so equality and hashing of elements inside a group
-enumeration are purely structural, and every kernel touches stored entries
-only.  A product adds the terms of each entry on unreduced integer
-coordinates over one denominator, so each entry is reduced modulo the
-cyclotomic polynomial and put in lowest terms once, not once per term.
+is canonical, so equality is purely structural, and every kernel touches
+stored entries only.  A product adds the terms of each entry on unreduced
+integer coordinates over one denominator, so each entry is reduced modulo
+the cyclotomic polynomial and put in lowest terms once, not once per term.
 The determinant is Gaussian elimination on the stored rows, which inverts
 a pivot only when there is something below it to eliminate.
-Group closure is a breadth-first enumeration under left multiplication by
-the generators, deduplicated by a canonical serialized key; it either
-returns the full element list or raises ``CapExceededError`` for groups
-that are too large (or not finite at all).
+A finite group of n x n matrices acts faithfully on Omega, the orbit of
+the basis vectors, since an element's columns are its images of them.
+``closure`` enumerates the group as permutations of Omega, which every
+group computation reads; a matrix is rebuilt only where one is asked for.
 """
 
 from __future__ import annotations
@@ -160,15 +160,6 @@ class CycMatrix:
 
     __hash__ = None
 
-    def key(self) -> tuple:
-        """Canonical hashable form: the stored rows, whose entries are
-        reduced and share the matrix conductor."""
-        return (
-            self.size,
-            self.conductor,
-            tuple(tuple((j, x.num, x.den) for j, x in row) for row in self.nonzero),
-        )
-
     def trace(self) -> CycNum:
         diag = (x for i, row in enumerate(self.nonzero) for j, x in row if j == i)
         return sum(diag, CycNum(self.conductor, ()))
@@ -248,130 +239,136 @@ def det(a: CycMatrix) -> CycNum:
     return d
 
 
-def element_order(a: CycMatrix, cap: int = DEFAULT_CAP) -> int:
-    """Least k >= 1 with a**k = identity; raises CapExceededError past cap."""
-    ident = CycMatrix.identity(a.size, a.conductor)
-    x = a
-    for k in range(1, cap + 1):
-        if x == ident:
-            return k
-        x = x * a
-    raise CapExceededError(cap, "element order search")
+class Perm(tuple):
+    """A permutation of the indices of Omega; ``x * y`` is the permutation
+    of the matrix product, y first, then x."""
+
+    __slots__ = ()
+
+    def __mul__(self, other: Perm) -> Perm:
+        return Perm(map(self.__getitem__, other))
+
+    def inverse(self) -> Perm:
+        out = [0] * len(self)
+        for i, j in enumerate(self):
+            out[j] = i
+        return Perm(out)
 
 
-def closure(generators, cap: int = DEFAULT_CAP) -> list[CycMatrix]:
-    """All elements of the group generated by the given matrices.
+def _image(g: CycMatrix, v: tuple) -> tuple:
+    """g v, for v stored like a matrix row: its nonzero (index, entry) pairs."""
+    coords = dict(v)
+    terms = ([(x, coords[k]) for k, x in row if k in coords] for row in g.nonzero)
+    return _row((i, _sum_of_products(g.conductor, t)) for i, t in enumerate(terms) if t)
 
-    Breadth-first closure under left multiplication by the generators,
-    starting from the identity; raises CapExceededError when the element
-    count passes cap.
-    """
+
+def _orbit(points: list, gens, act, key, cap: int, what: str) -> list[Perm]:
+    """Extend points in place, breadth-first, to their orbit under gens (x
+    goes to act(g, x), keyed by key(x)) and return each generator's
+    permutation of it; raises CapExceededError past cap points."""
+    index = {key(x): i for i, x in enumerate(points)}
+    images: list[list[int]] = [[] for _ in gens]
+    for x in points:  # grows while it is walked
+        for g, img in zip(gens, images):
+            y = act(g, x)
+            k = key(y)
+            if k not in index:
+                if len(points) >= cap:
+                    raise CapExceededError(cap, what)
+                index[k] = len(points)
+                points.append(y)
+            img.append(index[k])
+    return [Perm(img) for img in images]
+
+
+class MatrixGroup:
+    """A finite matrix group as permutations of Omega (basis vectors first):
+    ``gens`` are the generators' and ``elements()`` all, identity first."""
+
+    def __init__(self, size: int, conductor: int, omega: list, gens: list, elements: list):
+        self.size, self.conductor, self.omega, self.gens = size, conductor, omega, gens
+        self._elements = tuple(elements)
+
+    def elements(self) -> tuple[Perm, ...]:
+        return self._elements
+
+    def __len__(self) -> int:
+        return len(self._elements)
+
+    def matrix(self, x: Perm) -> CycMatrix:
+        """The element with permutation x: its column j is Omega[x[j]]."""
+        rows: list[list] = [[] for _ in range(self.size)]
+        for j in range(self.size):
+            for i, y in self.omega[x[j]]:
+                rows[i].append((j, y))
+        return CycMatrix._of(tuple(map(tuple, rows)), self.conductor)
+
+
+def closure(generators, cap: int = DEFAULT_CAP) -> MatrixGroup:
+    """The group generated by the matrices: Omega takes one matrix-vector
+    product per generator and vector, and the elements are enumerated on
+    permutations of Omega by left multiplication from the identity.  Raises
+    CapExceededError when the elements pass cap, or Omega passes n * cap
+    vectors (no orbit of a group is larger than the group)."""
     gens = list(generators)
     if not gens:
         raise ValueError("need at least one generator")
     n = gens[0].size
     if any(g.size != n for g in gens):
         raise ValueError("generators must share one size")
-    cond = 1
-    for g in gens:
-        cond = math.lcm(cond, g.conductor)
-    gens = [g.embed(cond) for g in gens]
-    ident = CycMatrix.identity(n, cond)
-    seen: dict[tuple, CycMatrix] = {ident.key(): ident}
-    frontier = [ident]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in gens:
-                y = g * x
-                k = y.key()
-                if k not in seen:
-                    if len(seen) >= cap:
-                        raise CapExceededError(cap, "group closure")
-                    seen[k] = y
-                    new.append(y)
-        frontier = new
-    return list(seen.values())
+    cond = math.lcm(*(g.conductor for g in gens))
+    one = CycNum(cond, (1,))
+    omega = [((j, one),) for j in range(n)]
+    perms = _orbit(
+        omega, [g.embed(cond) for g in gens], _image,
+        lambda v: tuple((i, x.num, x.den) for i, x in v), n * cap, "basis-vector orbit",
+    )
+    elements = [Perm(range(len(omega)))]
+    _orbit(elements, perms, Perm.__mul__, lambda x: x, cap, "group closure")
+    return MatrixGroup(n, cond, omega, perms, elements)
 
 
-class MatrixGroup:
-    """A finitely generated matrix group with lazily enumerated elements."""
-
-    def __init__(self, generators):
-        gens = list(generators)
-        if not gens:
-            raise ValueError("need at least one generator")
-        cond = 1
-        for g in gens:
-            cond = math.lcm(cond, g.conductor)
-        self.generators = tuple(g.embed(cond) for g in gens)
-        self._elements: tuple[CycMatrix, ...] | None = None
-
-    @classmethod
-    def from_elements(cls, generators, elements) -> MatrixGroup:
-        """The group with its elements already enumerated (as ``closure``
-        returns them for these generators), so they are not enumerated
-        again."""
-        group = cls(generators)
-        group._elements = tuple(elements)
-        return group
-
-    def elements(self) -> tuple[CycMatrix, ...]:
-        if self._elements is None:
-            self._elements = tuple(closure(self.generators))
-        return self._elements
-
-    def order(self) -> int:
-        return len(self.elements())
+def element_order(a: CycMatrix, cap: int = DEFAULT_CAP) -> int:
+    """The order of the group a generates; raises CapExceededError past cap."""
+    return len(closure([a], cap))
 
 
 def order_p_cyclic_subgroups(group: MatrixGroup, p: int) -> list[CycMatrix]:
     """One generator per distinct cyclic subgroup of order p: the first of
-    its elements in enumeration order.
+    its elements in enumeration order, as a matrix.
 
     Two distinct subgroups of prime order meet only in the identity, so an
     element of a subgroup already found is skipped without an order test.
     """
     elems = group.elements()
-    ident = CycMatrix.identity(elems[0].size, elems[0].conductor)
-    reps: list[CycMatrix] = []
-    covered = {ident.key()}  # and m**2 .. m**(p-1) of each m in reps
-    for m in elems:
-        if m.key() in covered or m**p != ident:
+    ident = elems[0]
+    reps: list[Perm] = []
+    covered = {ident}  # and x**2 .. x**(p-1) of each x in reps
+    for x in elems:
+        if x in covered or power(x, p) != ident:
             continue
-        reps.append(m)
-        x = m
+        reps.append(x)
+        y = x
         for _ in range(p - 2):
-            x = x * m
-            covered.add(x.key())
-    return reps
+            y = y * x
+            covered.add(y)
+    return [group.matrix(x) for x in reps]
 
 
 Word = tuple[tuple[int, int], ...]
 
 
-def relations_check(gens, relators) -> bool:
-    """Whether every relator word evaluates to the identity matrix.
-
-    A relator is a sequence of (generator index, exponent) pairs.  A
-    negative exponent on generator i is read modulo k, where ((i, k),) is
-    the one-term relator for i in the same list; that relator is checked
-    too, so no order is searched for.  An inverted generator without such a
-    relator raises ValueError.
-    """
-    gens = list(gens)
-    if not gens:
-        raise ValueError("need at least one generator")
-    orders = {w[0][0]: w[0][1] for w in relators if len(w) == 1 and w[0][1] > 0}
-    ident = CycMatrix.identity(gens[0].size, gens[0].conductor)
+def relations_check(group: MatrixGroup, relators) -> bool:
+    """Whether every relator word, a sequence of (generator index, exponent)
+    pairs, is the identity on the generators' permutations, where a negative
+    exponent inverts exactly."""
+    ident = group.elements()[0]
     for word in relators:
         out = ident
         for i, e in word:
-            if e < 0:
-                if i not in orders:
-                    raise ValueError(f"generator {i} is inverted but has no order relator")
-                e %= orders[i]
-            out = out * gens[i] ** e
+            if e:
+                g = group.gens[i]
+                out = out * power(g if e > 0 else g.inverse(), abs(e))
         if out != ident:
             return False
     return True

@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass, fields, is_dataclass
 
 from .chern import exponents_from_trace, n_upper
-from .exactmat import MatrixGroup, order_p_cyclic_subgroups
+from .exactmat import order_p_cyclic_subgroups
 from .fppoly import INFINITY, mp_q_decompose
 from .formulas import yagita_gl, yagita_sl, yagita_sl_Z
 from .numutil import MAX_N, MAX_PRIME, is_prime
@@ -77,12 +77,10 @@ def _check(w: WitnessEmbedding, p: int) -> _Checked:
 def _chern_scan(vw: VerifiedWitness, p: int) -> tuple:
     """Per order-p cyclic subgroup of a verified witness: the Chern divisor
     bound, its m * p^q decomposition, and the x^l rationality flag."""
-    w = vw.embedding
-    group = MatrixGroup.from_elements(w.generators, vw.elements)
-    l_w = compute_l(w.ring, p)
+    l_w = compute_l(vw.embedding.ring, p)
     rows = []
     # the scan has proved mrep**p = I for each representative
-    for idx, mrep in enumerate(order_p_cyclic_subgroups(group, p)):
+    for idx, mrep in enumerate(order_p_cyclic_subgroups(vw.group, p)):
         nu = n_upper(exponents_from_trace(mrep.trace(), mrep.size, p))
         if nu == INFINITY:
             rows.append((idx, "infinity", "infinity", "infinity", True, True))

@@ -126,13 +126,11 @@ def compute_l(ring: RingSpec, p: int) -> int:
         pstar = p if p % 4 == 1 else -p
         return (p - 1) // 2 if ring.d == pstar else p - 1
     if isinstance(ring, SubCyclotomicFixedField):
-        if p == 2:
-            return 1  # zeta_2 = -1 lies in every ring
         if p == ring.p:
             return (p - 1) // ring.d
-        raise UnsupportedFieldError(
-            f"mixed primes: subfield of Q(zeta_{ring.p}) with p = {p}"
-        )
+        # F lies in Q(zeta_q), which meets the Galois field Q(zeta_p) only
+        # in Q for p != q, so [F(zeta_p):F] = [Q(zeta_p):Q] (1 at p = 2)
+        return p - 1
     if isinstance(ring, AbstractRing):
         return ring.l
     raise UnsupportedFieldError(f"unsupported ring {ring!r}")

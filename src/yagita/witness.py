@@ -38,6 +38,7 @@ from .cyclo import CycNum, zeta
 from .exactmat import (
     MAX_MATRIX_SIZE,
     CycMatrix,
+    MatrixGroup,
     Word,
     block_diag,
     closure,
@@ -476,7 +477,11 @@ class VerifiedWitness:
     central_ok: bool
     sl_ok: bool
     center_ok: bool
-    elements: tuple[CycMatrix, ...]
+    group: MatrixGroup
+
+    @property
+    def elements(self) -> tuple:
+        return self.group.elements()
 
     @property
     def ok(self) -> bool:
@@ -510,12 +515,13 @@ def verify_embedding(w: WitnessEmbedding) -> VerifiedWitness:
     Order equality plus the presentation checks pin the group: the matrices
     satisfy all relations of the abstract group, so they generate a
     quotient of it, and matching orders force an isomorphism (faithfulness).
+    Relators and center are read on permutations of the basis-vector orbit.
     The claimed order bounds the enumeration: a group with more elements
     raises CapExceededError at the first element past the claim.
     """
-    elems = closure(w.generators, w.expected_order)
-    order_ok = len(elems) == w.expected_order
-    relations_ok = relations_check(w.generators, w.relators)
+    group = closure(w.generators, w.expected_order)
+    order_ok = len(group) == w.expected_order
+    relations_ok = relations_check(group, w.relators)
     central_ok = all(
         w.generators[i] * w.generators[j] == s * (w.generators[j] * w.generators[i])
         for i, j, s in w.central_commutations
@@ -523,17 +529,17 @@ def verify_embedding(w: WitnessEmbedding) -> VerifiedWitness:
     # det is multiplicative, so the generators' determinants settle the SL
     # claim for every element of the group they generate
     sl_ok = (not w.claims_sl) or all(det(g) == 1 for g in w.generators)
-    center = sum(1 for x in elems if all(g * x == x * g for g in w.generators))
+    center = sum(1 for x in group.elements() if all(g * x == x * g for g in group.gens))
     center_ok = center == w.expected_center
     return VerifiedWitness(
         embedding=w,
-        order=len(elems),
+        order=len(group),
         order_ok=order_ok,
         relations_ok=relations_ok,
         central_ok=central_ok,
         sl_ok=sl_ok,
         center_ok=center_ok,
-        elements=tuple(elems),
+        group=group,
     )
 
 

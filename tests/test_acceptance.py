@@ -9,7 +9,7 @@ import random
 import time
 
 from yagita.chern import eigen_exponents, n_upper, rationality_check
-from yagita.exactmat import MatrixGroup, det, order_p_cyclic_subgroups
+from yagita.exactmat import det, order_p_cyclic_subgroups
 from yagita.formulas import (
     SlResult,
     lcm_form_reduced,
@@ -101,7 +101,7 @@ def test_criterion_2_witness_suite():
         assert w.dimension == expect_dims[label], label
         if must_be_sl:
             assert w.claims_sl, label
-            assert all(det(m) == 1 for m in vw.elements), label
+            assert all(det(vw.group.matrix(x)) == 1 for x in vw.elements), label
     _report(2, "witness groups verified", time.monotonic() - t0, 30)
 
 
@@ -113,8 +113,7 @@ def test_criterion_3_chern_consistency():
         l_w = compute_l(w.ring, p)
         ambient = yagita_gl(p, w.dimension, l_w)
         assert ambient % w.expected_yagita == 0, label
-        group = MatrixGroup.from_elements(w.generators, vw.elements)
-        reps = order_p_cyclic_subgroups(group, p)
+        reps = order_p_cyclic_subgroups(vw.group, p)
         assert reps, label
         for m_rep in reps:
             nu = n_upper(eigen_exponents(m_rep, p))

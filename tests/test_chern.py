@@ -15,7 +15,7 @@ from yagita.chern import (
     yagita_upper_witness,
 )
 from yagita.cyclo import CycNum, zeta
-from yagita.exactmat import CycMatrix, MatrixGroup, block_diag
+from yagita.exactmat import CycMatrix, block_diag, closure
 from yagita.fppoly import INFINITY, FpPoly
 from yagita.ringspec import RationalIntegers
 from yagita.witness import (
@@ -101,7 +101,7 @@ def test_rationality_check():
 
 def test_yagita_upper_witness_extraspecial():
     w = build_extraspecial_monomial(3, 1)
-    g = MatrixGroup(w.generators)
+    g = closure(w.generators)
     bound = yagita_upper_witness(g, 3)
     # central subgroup contributes 2*3, the twelve non-central ones 2*2
     assert bound == 12
@@ -109,12 +109,12 @@ def test_yagita_upper_witness_extraspecial():
 
 
 def test_yagita_upper_witness_trivial_group():
-    assert yagita_upper_witness(MatrixGroup([CycMatrix.identity(3)]), 3) == 1
+    assert yagita_upper_witness(closure([CycMatrix.identity(3)]), 3) == 1
 
 
 def test_yagita_upper_witness_metacyclic():
     w = build_g1(3, 2, Z)
-    g = MatrixGroup(w.generators)
+    g = closure(w.generators)
     assert yagita_upper_witness(g, 3) == 4  # one order-3 subgroup, n_upper 2
 
 
@@ -143,8 +143,9 @@ def test_every_order_p_element_has_admissible_bound():
     for w, p in [(build_extraspecial_monomial(3, 1), 3), (build_g1(3, 2, Z), 3)]:
         l_w = compute_l(w.ring, p)
         vw = verify_embedding(w)
-        eye = CycMatrix.identity(vw.elements[0].size, vw.elements[0].conductor)
-        for m in vw.elements:
+        elems = [vw.group.matrix(x) for x in vw.elements]
+        eye = elems[0]
+        for m in elems:
             if m == eye or m**p != eye:
                 continue
             f = total_chern(eigen_exponents(m, p))

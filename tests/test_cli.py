@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from yagita.cli import main
-from yagita.exactmat import CycMatrix
+from yagita.exactmat import CycMatrix, Perm
 from yagita.witness import build_extraspecial_monomial, build_q8
 
 
@@ -37,6 +38,18 @@ def test_compute_sl_ambiguous(capsys):
     assert code == 0 and "4 or 2" in out
 
 
+# sha256 of the whole `witness --json` output, element matrices included,
+# as the matrix-product closure printed it
+WITNESS_JSON_SHA256 = {
+    ("q8", "Z"): "23ac00d2423c09b7b1908890b67f1c9d70116de6120894a0d9b581ad8c94a60f",
+    ("d8", "Z"): "7cf369eed6baa414a61fbc5d49ec78ed3a6e527f7ea1a8611f002045ecf01cb0",
+    ("e:2:3", "Z"): "434b63f3114c86a93a8b08107fab2bbd273940cc5f10ffa544c25beb3f5d8f7c",
+    ("e:3:1", "cyclotomic:3"): "30a415c65af87f17ae22b9adcebf6146986562c6766522a3bfa7774de54f715c",
+    ("g1:5:4", "Z"): "5d60ecdea2fdd5adbe8b92a36659a57dd70ec030339964bd3f24a04153cf5c05",
+    ("g2:5:2", "cyclotomic:20"): "7acec64e50815372d0f10a68538ca0926d66096265dfde5491977c5d7c1a3610",
+}
+
+
 def test_witness_q8_json(capsys):
     code, out = run(capsys, "witness", "--kind", "q8", "--json")
     assert code == 0
@@ -45,6 +58,12 @@ def test_witness_q8_json(capsys):
     assert len(blob["elements"]) == 8
     assert len(blob["generators"]) == 2
     assert blob["expected_order"] == "8"
+    # the element matrices are rebuilt from their columns; the bytes of
+    # every element list must stay as they were
+    for (kind, ring), digest in WITNESS_JSON_SHA256.items():
+        code, out = run(capsys, "witness", "--kind", kind, "--ring", ring, "--json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (kind, ring)
 
 
 def test_witness_g1(capsys):
@@ -147,25 +166,28 @@ def test_error_path_returns_1(capsys):
 
 def test_witness_larger_than_claimed_exits_1(capsys, monkeypatch):
     # the claimed order bounds the closure: Q8 claimed as a group of order
-    # 4 stops at its fifth element, after at most 4 * 2 products
+    # 4 stops at its fifth element, after at most 4 * 2 products of
+    # permutations, and makes no matrix product
     import yagita.cli
 
     monkeypatch.setattr(
         yagita.cli, "build", lambda kind, ring: replace(build_q8(), expected_order=4)
     )
     products = []
-    mul = CycMatrix.__mul__
+    for cls in (CycMatrix, Perm):
+        mul = cls.__mul__
 
-    def counted(a, b):
-        products.append(1)
-        return mul(a, b)
+        def counted(a, b, mul=mul):
+            products.append(type(a).__name__)
+            return mul(a, b)
 
-    monkeypatch.setattr(CycMatrix, "__mul__", counted)
+        monkeypatch.setattr(cls, "__mul__", counted)
     assert main(["witness", "--kind", "q8"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: group closure exceeded cap 4\n"
     assert 0 < len(products) <= 4 * 2
+    assert set(products) == {"Perm"}
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,6 @@ from yagita.cyclo import CycNum, cyclotomic_poly, zeta
 from yagita.exactmat import (
     CapExceededError,
     CycMatrix,
-    MatrixGroup,
     block_diag,
     closure,
     det,
@@ -23,7 +22,7 @@ from yagita.exactmat import (
 )
 from yagita.numutil import euler_phi
 from yagita.ringspec import parse_ring
-from yagita.witness import witness_menu
+from yagita.witness import verify_embedding, witness_menu
 
 
 def rand_int_matrix(rng, n, lo=-3, hi=3):
@@ -213,10 +212,20 @@ def _dense_block_diag(a, b):
     )
 
 
+def _matrix_key(m):
+    """The stored rows as a hashable value: equal exactly when two matrices
+    over one conductor store the same rows."""
+    return (
+        m.size,
+        m.conductor,
+        tuple(tuple((j, x.num, x.den) for j, x in row) for row in m.nonzero),
+    )
+
+
 def _assert_canonical(m):
     # the stored rows are exactly the nonzero entries in column order, so
     # rebuilding the matrix from its dense view changes nothing
-    assert m.key() == CycMatrix(m.rows, m.conductor).key()
+    assert _matrix_key(m) == _matrix_key(CycMatrix(m.rows, m.conductor))
 
 
 @given(kernel_operands())
@@ -411,25 +420,45 @@ def test_closure_cap():
 def test_order_p_cyclic_subgroups_dihedral():
     j = CycMatrix([[0, -1], [1, 0]])
     d = CycMatrix([[1, 0], [0, -1]])
-    g = MatrixGroup([j, d])
+    g = closure([j, d])
     # oracle: count elements of order 2 directly; at p = 2 every one spans
     # its own subgroup
     eye = CycMatrix.identity(2)
-    order2 = [m for m in g.elements() if m != eye and m * m == eye]
+    order2 = [m for m in map(g.matrix, g.elements()) if m != eye and m * m == eye]
     assert len(order2) == 5
     assert len(order_p_cyclic_subgroups(g, 2)) == 5
 
 
 def test_order_p_cyclic_subgroups_cyclic():
-    g = MatrixGroup([CycMatrix.diagonal([zeta(5), zeta(5, 2)])])
+    g = closure([CycMatrix.diagonal([zeta(5), zeta(5, 2)])])
     assert len(order_p_cyclic_subgroups(g, 5)) == 1
 
 
-def _order_p_reps_by_power_sets(group, p):
+def _matrix_closure(gens):
+    """Reference: the breadth-first closure on the matrices themselves,
+    under left multiplication by the generators from the identity, each
+    element keyed by its stored rows."""
+    cond = math.lcm(*(g.conductor for g in gens))
+    gens = [g.embed(cond) for g in gens]
+    ident = CycMatrix.identity(gens[0].size, cond)
+    seen = {_matrix_key(ident): ident}
+    frontier = [ident]
+    while frontier:
+        new = []
+        for x in frontier:
+            for g in gens:
+                y = g * x
+                if _matrix_key(y) not in seen:
+                    seen[_matrix_key(y)] = y
+                    new.append(y)
+        frontier = new
+    return list(seen.values())
+
+
+def _order_p_reps_by_power_sets(elems, p):
     """Reference: test every element's order and deduplicate subgroups by
     the frozenset of the keys of their p members."""
-    elems = group.elements()
-    ident = CycMatrix.identity(elems[0].size, elems[0].conductor)
+    ident = elems[0]
     reps, seen = [], set()
     for m in elems:
         if m == ident or m**p != ident:
@@ -438,7 +467,7 @@ def _order_p_reps_by_power_sets(group, p):
         for _ in range(p - 1):
             powers.append(x)
             x = x * m
-        key = frozenset(q.key() for q in powers)
+        key = frozenset(_matrix_key(q) for q in powers)
         if key not in seen:
             seen.add(key)
             reps.append(m)
@@ -451,7 +480,9 @@ def test_order_p_cyclic_subgroups_matches_power_sets(p, ring):
     # the menu witnesses of order <= 250 up to dimension 20, E(2,3) over Z
     # (dimension 8), E(3,2) over cyclotomic:3 (9) and over Z (18) and E(5,1)
     # over Z (20) included; a determinant-padded witness enumerates like its
-    # unpadded group, so it is left out
+    # unpadded group, so it is left out.  The permutation engine must give
+    # the matrix closure's elements in its order, its center count and the
+    # power-set reference's order-p representatives.
     ring = parse_ring("Z" if ring == "Z" else f"cyclotomic:{p}")
     witnesses = [
         e.embedding
@@ -460,10 +491,15 @@ def test_order_p_cyclic_subgroups_matches_power_sets(p, ring):
     ]
     assert witnesses
     for w in witnesses:
-        g = MatrixGroup(w.generators)
-        got = order_p_cyclic_subgroups(g, p)
-        want = _order_p_reps_by_power_sets(g, p)
-        assert [m.key() for m in got] == [m.key() for m in want], w
+        want = _matrix_closure(w.generators)
+        vw = verify_embedding(w)
+        got = [vw.group.matrix(x) for x in vw.elements]
+        assert [_matrix_key(m) for m in got] == [_matrix_key(m) for m in want], w
+        center = [x for x in want if all(g * x == x * g for g in w.generators)]
+        assert vw.center_ok and len(center) == w.expected_center, w
+        reps = order_p_cyclic_subgroups(vw.group, p)
+        want_reps = _order_p_reps_by_power_sets(want, p)
+        assert [_matrix_key(m) for m in reps] == [_matrix_key(m) for m in want_reps], w
 
 
 def test_power_product_count(monkeypatch):
@@ -492,21 +528,27 @@ def test_relations_check():
     a = CycMatrix([[0, -1], [1, -1]])
     b = CycMatrix([[1, -1], [0, -1]])
     words = [((0, 3),), ((1, 2),), ((1, 1), (0, 1), (1, -1), (0, -2))]
-    assert relations_check([a, b], words)
-    assert not relations_check([a, b], [((0, 2),)])
+    g = closure([a, b])
+    assert relations_check(g, words)
+    assert not relations_check(g, [((0, 2),)])
 
 
-def test_relations_check_reads_inverses_by_order_relators():
+def test_relations_check_inverts_exactly():
     a = CycMatrix([[0, -1], [1, -1]])  # order 3
     b = CycMatrix([[1, -1], [0, -1]])  # order 2
+    g = closure([a, b])
     conj = ((1, 1), (0, 1), (1, -1), (0, -2))
-    # a**-2 is read as a**1 through ((0, 3),)
-    assert relations_check([a, b], [((0, 3),), ((1, 2),), conj])
-    # no order relator for the inverted generator: nothing to read it by
-    with pytest.raises(ValueError, match="generator 1 is inverted"):
-        relations_check([a, b], [((0, 3),), conj])
+    # a**-2 is a**1, with or without the order relators in the list
+    assert relations_check(g, [((0, 3),), ((1, 2),), conj])
+    assert relations_check(g, [conj, ((0, 1), (0, -2), (0, -2))])
+    # oracle: the same words as matrix products, inverses by the adjugate
+    a_inv = CycMatrix([[-1, 1], [-1, 0]])
+    b_inv = CycMatrix([[1, -1], [0, -1]])
+    assert a * a_inv == CycMatrix.identity(2) == b * b_inv
+    assert b * a * b_inv * a_inv * a_inv == CycMatrix.identity(2)
     # a false order relator fails the check itself
-    assert not relations_check([a, b], [((0, 2),), ((1, 2),), conj])
+    assert not relations_check(g, [((0, 2),), ((1, 2),), conj])
+    assert not relations_check(g, [((0, -1), (1, 1))])
 
 
 def test_matrix_json_round_trip():
@@ -536,7 +578,8 @@ def test_non_square_rejected():
 def test_element_order_divides_group_order():
     j = CycMatrix([[0, -1], [1, 0]])
     d = CycMatrix([[1, 0], [0, -1]])
-    g = MatrixGroup([j, d])
-    n = g.order()
-    for m in g.elements():
-        assert n % element_order(m) == 0
+    g = closure([j, d])
+    n = len(g)
+    orders = [element_order(g.matrix(x)) for x in g.elements()]
+    assert all(n % k == 0 for k in orders)
+    assert sorted(orders) == [1, 2, 2, 2, 2, 2, 4, 4]

@@ -4,8 +4,8 @@ from collections import Counter
 
 import pytest
 
-from yagita import harness, witness
-from yagita.exactmat import CycMatrix, MatrixGroup, order_p_cyclic_subgroups
+from yagita import exactmat, harness, witness
+from yagita.exactmat import CycMatrix, order_p_cyclic_subgroups
 from yagita.harness import (
     FAIL,
     INCOMPLETE,
@@ -174,24 +174,24 @@ def test_each_witness_verified_once_and_no_elements_cached(monkeypatch):
 
 
 def test_chern_scan_takes_one_pth_power_per_scanned_element(monkeypatch):
-    # the scan proves m**p = I for each representative, and the Chern step
-    # reads the multiplicities off the trace without proving it again
+    # the scan proves x**p = 1 for each representative, as a permutation
+    # power, and the Chern step reads the multiplicities off the trace
+    # without proving it again, by a permutation or a matrix power
     w = witness.build(witness.WitnessKind("E", 3, 1), Cyclotomic(3))
     vw = witness.verify_embedding(w)
-    group = MatrixGroup.from_elements(w.generators, vw.elements)
     powers = []
-    real = CycMatrix.__pow__
+    real = exactmat.power
 
-    def counted(m, e):
-        powers.append(e)
-        return real(m, e)
+    def counted(x, e):
+        powers.append((type(x).__name__, e))
+        return real(x, e)
 
-    monkeypatch.setattr(CycMatrix, "__pow__", counted)
-    reps = order_p_cyclic_subgroups(group, 3)
+    monkeypatch.setattr(exactmat, "power", counted)
+    reps = order_p_cyclic_subgroups(vw.group, 3)
     alone = list(powers)
     powers.clear()
     rows = harness._chern_scan(vw, 3)
     # exponent 3: each of the 13 subgroups is scanned at its first element
-    assert alone == [3] * len(reps) == [3] * 13
+    assert alone == [("Perm", 3)] * len(reps) == [("Perm", 3)] * 13
     assert powers == alone
     assert len(rows) == len(reps)

@@ -63,8 +63,10 @@ def test_compute_l_subcyclotomic():
     assert compute_l(SubCyclotomicFixedField(7, 1), 7) == 6
     # zeta_2 = -1 lies in every ring
     assert compute_l(SubCyclotomicFixedField(7, 3), 2) == 1
-    with pytest.raises(UnsupportedFieldError):
-        compute_l(SubCyclotomicFixedField(7, 3), 5)
+    # Q(zeta_7) meets Q(zeta_5) only in Q, so the subfield leaves the full
+    # degree [Q(zeta_5):Q] = 4
+    assert compute_l(SubCyclotomicFixedField(7, 3), 5) == 4
+    assert compute_l(SubCyclotomicFixedField(5, 2), 7) == 6
 
 
 def test_compute_l_abstract_is_stored():

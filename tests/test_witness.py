@@ -37,6 +37,11 @@ from yagita.witness import (
 Z = RationalIntegers()
 
 
+def _matrices(vw):
+    """The verified group's elements as matrices, in enumeration order."""
+    return [vw.group.matrix(x) for x in vw.elements]
+
+
 def test_regular_rep_zeta_small():
     assert regular_rep_zeta(2) == CycMatrix([[-1]])
     assert regular_rep_zeta(3) == CycMatrix([[0, -1], [1, -1]])
@@ -100,7 +105,8 @@ def test_build_g1_sl_membership_parity():
         assert w.claims_sl == expect_sl
         assert det(w.generators[0]) == 1  # order-p generator always lands in SL
     w = build_g1(5, 2, Z)
-    assert all(det(m) == 1 for m in closure(w.generators))
+    g = closure(w.generators)
+    assert all(det(g.matrix(x)) == 1 for x in g.elements())
 
 
 def test_build_g1_unsupported_ring():
@@ -162,10 +168,10 @@ def test_extraspecial_monomial():
     assert w.dimension == 3 and w.expected_order == 27 and w.claims_sl
     vw = verify_embedding(w)
     assert vw.ok and vw.order == 27
-    assert all(det(m) == 1 for m in vw.elements)
+    assert all(det(m) == 1 for m in _matrices(vw))
     # the center is exactly the scalar matrices zeta^k I
     scalars = [zeta(3, k) * CycMatrix.identity(3, 3) for k in range(3)]
-    central = [m for m in vw.elements if all(g * m == m * g for g in w.generators)]
+    central = [m for m in _matrices(vw) if all(g * m == m * g for g in w.generators)]
     assert len(central) == 3
     for m in central:
         assert any(m == s for s in scalars)
@@ -179,7 +185,7 @@ def test_blow_up_of_extraspecial():
     assert w.dimension == 6 and w.ring == Z
     vw = verify_embedding(w)
     assert vw.ok and vw.order == 27
-    assert all(det(m) == 1 for m in vw.elements)
+    assert all(det(m) == 1 for m in _matrices(vw))
     assert all(x.conductor == 1 for g in w.generators for row in g.rows for x in row)
 
 
@@ -220,7 +226,7 @@ def test_e2m_integer():
     e22 = build_e2m_integer(2)
     vw2 = verify_embedding(e22)
     assert vw2.ok and vw2.order == 32 and e22.claims_sl
-    assert all(det(m) == 1 for m in vw2.elements)
+    assert all(det(m) == 1 for m in _matrices(vw2))
 
 
 def test_q8():
@@ -234,7 +240,7 @@ def test_q8():
     assert a * b == k_mat
     minus_eye = -1 * CycMatrix.identity(2)
     assert (minus_eye * minus_eye) == CycMatrix.identity(2)
-    assert all(det(m) == 1 for m in vw.elements)
+    assert all(det(m) == 1 for m in _matrices(vw))
 
 
 def test_witness_menu_contents():
@@ -329,8 +335,8 @@ def test_sl_claim_checked_on_generators(monkeypatch):
 
 
 def test_menu_verification_searches_no_order(monkeypatch):
-    # every inverse in a relator is read modulo the generator's order
-    # relator, so no order is searched for
+    # a relator inverts a generator's permutation exactly, so no order is
+    # searched for
     import yagita.exactmat
 
     def no_search(*args):
