@@ -11,21 +11,25 @@ different conductors first move both into the field of conductor
 lcm(N1, N2), so plain integers, Gaussian integers and Z[zeta_p] elements mix
 freely without any global state.
 
-Every exact operation stays on integer coordinates.  Division needs no
-polynomial arithmetic over Q: for x != 0 the norm N(x), the product of the
-Galois conjugates sigma_k(x) (zeta_N -> zeta_N**k, k a unit mod N), is a
-nonzero rational, so 1/x is the product of the conjugates other than x
-itself divided by N(x).
+Every exact operation stays on integer coordinates.  A coordinate list
+longer than phi(N) is reduced in two steps: it is first folded modulo
+x^N - 1, which Phi_N divides, so that at most N coordinates are left (one
+top coefficient for a prime N), and only those are reduced modulo Phi_N.
+Division needs no polynomial arithmetic over Q: for x != 0 the norm N(x),
+the product of the Galois conjugates sigma_k(x) (zeta_N -> zeta_N**k, k a
+unit mod N), is a nonzero rational, so 1/x is the product of the
+conjugates other than x itself divided by N(x).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 import re
 from fractions import Fraction
 
-from .numutil import divisors, euler_phi, power
+from .numutil import divisors, euler_phi, factorize, power
 
 __all__ = ["CycNum", "zeta", "cyclotomic_poly", "json_int"]
 
@@ -49,36 +53,49 @@ def _poly_rem_monic(a, b) -> list[int]:
     return r
 
 
-def _poly_div_exact(a, b) -> tuple[int, ...]:
-    """Quotient of a by monic b when the division is exact over Z."""
-    db = len(b) - 1
-    r = list(a)
-    q = [0] * (len(r) - db)
-    for top in range(len(r) - 1, db - 1, -1):
-        c = r[top]
-        if c:
-            q[top - db] = c
-            off = top - db
-            for j in range(db + 1):
-                r[off + j] -= c * b[j]
-    if any(r):
-        raise ArithmeticError("polynomial division was not exact")
-    return tuple(q)
+def _fold(a: list[int], n: int) -> list[int]:
+    """a modulo x^n - 1: coefficient i goes to i mod n.  Every cyclotomic
+    polynomial of conductor n divides x^n - 1, so this is the same number;
+    a product over a prime conductor p has 2p - 3 coordinates, and after
+    the fold one top coefficient is left to reduce."""
+    out = a[:n]
+    for s in range(n, len(a), n):
+        chunk = a[s:s + n]
+        out[:len(chunk)] = map(operator.add, out, chunk)
+    return out
 
 
 @functools.lru_cache(maxsize=None)
 def cyclotomic_poly(n: int) -> tuple[int, ...]:
     """Coefficients of the n-th cyclotomic polynomial, constant term first.
 
-    Computed by dividing x^n - 1 by the cyclotomic polynomials of the proper
-    divisors of n; exact integer division at every step.
+    With r the product of the primes dividing n, Phi_n(x) = Phi_r(x^(n/r)),
+    and Moebius inversion of x^r - 1 = prod_{d | r} Phi_d gives
+    Phi_r = prod_{d | r} (x^d - 1)^mu(r/d).  The binomials with mu = 1 are
+    multiplied in first and those with mu = -1 divided out after, each in
+    one pass linear in the degree; every division is exact, since each
+    Phi_d (d < r) occurs as often in the binomials divided out as in those
+    multiplied in.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    poly: tuple[int, ...] = tuple([-1] + [0] * (n - 1) + [1])
-    for d in divisors(n)[:-1]:
-        poly = _poly_div_exact(poly, cyclotomic_poly(d))
-    return poly
+    r = math.prod(factorize(n))
+    by_mu: dict[int, list[int]] = {1: [], -1: []}
+    for d in divisors(r):
+        by_mu[(-1) ** len(factorize(r // d))].append(d)
+    poly = [1]
+    for d in by_mu[1]:  # times x^d - 1
+        poly = [b - a for a, b in zip(poly + [0] * d, [0] * d + poly)]
+    for d in by_mu[-1]:  # over x^d - 1: a_k = q_(k-d) - q_k
+        q: list[int] = []
+        for k in range(len(poly) - d):
+            q.append((q[k - d] if k >= d else 0) - poly[k])
+        if poly[len(q):] != ([0] * d + q)[len(q):]:
+            raise ArithmeticError("polynomial division was not exact")
+        poly = q
+    out = [0] * ((len(poly) - 1) * (n // r) + 1)
+    out[:: n // r] = poly
+    return tuple(out)
 
 
 @functools.lru_cache(maxsize=None)
@@ -96,8 +113,9 @@ def _mul_into(acc: list[int], an, bn) -> None:
     """Add the coordinate product of an and bn into acc, unreduced:
     ``an[i] * bn[j]`` goes to ``acc[i + j]``, so acc needs length
     len(an) + len(bn) - 1.  Zero coordinates are skipped.
-    ``CycNum.__mul__`` and the matrix product both multiply numbers through
-    this one routine."""
+    ``CycNum.__mul__`` and the matrix-vector images of ``exactmat`` multiply
+    numbers through this one routine; a matrix product packs its entries
+    into integers instead."""
     if len(an) == 1 == len(bn):  # two rationals
         acc[0] += an[0] * bn[0]
         return
@@ -149,6 +167,8 @@ class CycNum:
             raise ZeroDivisionError("zero denominator")
         deg = euler_phi(conductor)
         cs = [int(c) for c in coeffs]
+        if len(cs) > conductor:
+            cs = _fold(cs, conductor)
         if len(cs) > deg:
             cs = _poly_rem_monic(cs, cyclotomic_poly(conductor))
         if len(cs) < deg:

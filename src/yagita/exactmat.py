@@ -4,9 +4,11 @@ permutation groups.
 Matrices are square and immutable.  Each row is stored as its nonzero
 entries only, with their columns, all over one shared conductor; that form
 is canonical, so equality is purely structural, and every kernel touches
-stored entries only.  A product adds the terms of each entry on unreduced
-integer coordinates over one denominator, so each entry is reduced modulo
-the cyclotomic polynomial and put in lowest terms once, not once per term.
+stored entries only.  A product packs every stored entry of each operand,
+once, into one integer (Kronecker substitution: coordinate i at bit i*w,
+over one denominator per matrix, w wide enough for every coordinate of a
+product entry), so each entry (i, j) is a sum of integer products; it is
+unpacked once and reduced modulo the cyclotomic polynomial once.
 The determinant is Gaussian elimination on the stored rows, which inverts
 a pivot only when there is something below it to eliminate.
 A finite group of n x n matrices acts faithfully on Omega, the orbit of
@@ -18,10 +20,9 @@ group computation reads; a matrix is rebuilt only where one is asked for.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 
 from .cyclo import CycNum, _sum_of_products, json_int
-from .numutil import power
+from .numutil import euler_phi, power
 
 DEFAULT_CAP = 10**6
 MAX_MATRIX_SIZE = 64
@@ -44,6 +45,66 @@ def _row(pairs) -> tuple:
     """A stored row: the (column, entry) pairs, in increasing column order,
     whose entry is not zero."""
     return tuple((j, x) for j, x in pairs if not x.is_zero)
+
+
+def _scale(m: CycMatrix) -> tuple[int, int]:
+    """(d, t): the lcm d of the stored entries' denominators, and the
+    largest absolute coordinate t of d * x over the stored entries x."""
+    xs = [x for row in m.nonzero for _, x in row]
+    d = math.lcm(*(x.den for x in xs))
+    return d, max([max(map(abs, x.num)) * (d // x.den) for x in xs], default=0)
+
+
+def _slot_width(bound: int) -> int:
+    """Bits per coordinate slot, a whole number of bytes, holding every
+    integer of absolute value at most bound (sign included).  An entry of a
+    product of n x n matrices over conductor N sums at most n * phi(N)
+    coordinate products, so n * phi(N) * t_a * t_b (or an operand's own
+    t, when the other stores nothing) bounds its every coordinate."""
+    return 8 * (bound.bit_length() // 8 + 1)
+
+
+def _pack(m: CycMatrix, d: int, w: int) -> tuple:
+    """The stored rows of m with each entry x as one integer: the sum of
+    c_i * 2**(i*w) over the coordinates c_i of d * x (signed digits, so a
+    product of two packed entries is their coordinate convolution, packed).
+    Every coordinate of m is written biased by 2**(w-1) into w/8 bytes of
+    one string, and each entry reads its bytes back as one integer and
+    takes the bias off at once."""
+    half, nbytes = 1 << (w - 1), w // 8
+    deg = euler_phi(m.conductor)
+    size = deg * nbytes
+    bias = int.from_bytes(half.to_bytes(nbytes, "little") * deg, "little")
+    raw = b"".join([
+        (c * f + half).to_bytes(nbytes, "little")
+        for row in m.nonzero for _, x in row for f in (d // x.den,) for c in x.num
+    ])
+    out, at = [], 0
+    for row in m.nonzero:
+        packed = []
+        for j, _ in row:
+            packed.append((j, int.from_bytes(raw[at:at + size], "little") - bias))
+            at += size
+        out.append(tuple(packed))
+    return tuple(out)
+
+
+def _unpacker(conductor: int, w: int, slots: int, d: int):
+    """The function that reads a packed sum of products back as the number
+    over conductor with those coordinates over d.  Every one of the given
+    number of w-bit slots holds a value of absolute value below 2**(w-1),
+    so adding 2**(w-1) to all slots at once leaves each slot's digit in its
+    own w/8 bytes, and one pass over those bytes reads the coordinates."""
+    half, nbytes = 1 << (w - 1), w // 8
+    size = slots * nbytes
+    bias = int.from_bytes(half.to_bytes(nbytes, "little") * slots, "little")
+
+    def unpack(t: int) -> CycNum:
+        raw = (t + bias).to_bytes(size, "little")
+        coords = [int.from_bytes(raw[s:s + nbytes], "little") - half for s in range(0, size, nbytes)]
+        return CycNum(conductor, coords, d)
+
+    return unpack
 
 
 class CycMatrix:
@@ -124,16 +185,19 @@ class CycMatrix:
                 raise ValueError("size mismatch")
             a, b = self._unify(other)
             # entry (i, j) sums x * y over the stored x = a[i, k] and
-            # y = b[k, j]; each entry's terms are summed on integer
-            # coordinates and reduced once
-            cond, brows = a.conductor, b.nonzero
+            # y = b[k, j], as integer products of the packed entries
+            cond, deg = a.conductor, euler_phi(a.conductor)
+            (da, ta), (db, tb) = _scale(a), _scale(b)
+            w = _slot_width(max(a.size * deg * ta * tb, ta, tb))
+            pa, pb = _pack(a, da, w), _pack(b, db, w)
+            unpack = _unpacker(cond, w, 2 * deg - 1, da * db)
             out = []
-            for arow in a.nonzero:
-                terms = defaultdict(list)
+            for arow in pa:
+                acc = [0] * a.size
                 for k, x in arow:
-                    for j, y in brows[k]:
-                        terms[j].append((x, y))
-                out.append(_row((j, _sum_of_products(cond, terms[j])) for j in sorted(terms)))
+                    for j, y in pb[k]:
+                        acc[j] += x * y
+                out.append(_row((j, unpack(t)) for j, t in enumerate(acc) if t))
             return CycMatrix._of(tuple(out), cond)
         s = CycNum._coerce(other)
         if s is None:

@@ -162,32 +162,32 @@ class FpPoly:
                 g = math.gcd(g, i)
         return g if g else INFINITY
 
-    def _divide_linear(self, r: int) -> FpPoly:
-        # synthetic division by (x - r); caller guarantees r is a root
-        p = self.p
-        out = [0] * (len(self.coeffs) - 1)
-        acc = 0
-        for i in range(len(self.coeffs) - 1, 0, -1):
-            acc = (acc * r + self.coeffs[i]) % p
-            out[i - 1] = acc
-        return FpPoly(p, out)
-
     def all_roots_in_units(self) -> tuple[bool, Counter]:
         """Strip every root in F_p^x by trial division.
 
         Returns (True, multiset of roots) when the fully divided quotient is
         constant, i.e. the polynomial splits with all roots in the unit group;
-        otherwise (False, {}).
+        otherwise (False, {}).  Each trial is one Horner pass over the
+        coefficient list, which gives the quotient by (x - r) and, last, the
+        remainder f(r).
         """
         if self.is_zero:
             raise ValueError("zero polynomial has no well-defined root set")
-        g = self
+        p = self.p
+        g = self.coeffs[::-1]  # leading coefficient first
         roots: Counter = Counter()
-        for r in range(1, self.p):
-            while not g.is_constant and g.evaluate(r) == 0:
-                g = g._divide_linear(r)
+        r = 1
+        while len(g) > 1 and r < p:
+            acc, q = 0, []
+            for c in g:
+                acc = (acc * r + c) % p
+                q.append(acc)
+            if q.pop():
+                r += 1
+            else:
+                g = q
                 roots[r] += 1
-        if g.is_constant:
+        if len(g) == 1:
             return True, roots
         return False, Counter()
 
@@ -255,10 +255,14 @@ def check_prop6(f: FpPoly) -> Prop6Verdict:
 def random_unit_root_product(p: int, rng, max_factors: int = 10) -> FpPoly:
     """Random product of at most max_factors linear factors (1 + a*x), a in F_p^x."""
     k = rng.randint(1, max_factors)
-    f = FpPoly.one(p)
+    f = [1]
     for _ in range(k):
-        f = f * FpPoly.one_plus_ax(p, rng.randint(1, p - 1))
-    return f
+        a = rng.randint(1, p - 1)
+        # f * (1 + a*x) in place: coefficient i gains a times coefficient i - 1
+        f.append(0)
+        for i in range(len(f) - 1, 0, -1):
+            f[i] = (f[i] + a * f[i - 1]) % p
+    return FpPoly(p, f)
 
 
 def parse_fp_poly(text: str, p: int | None = None) -> FpPoly:

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from yagita.cli import main
+from yagita.cyclo import zeta
 from yagita.exactmat import CycMatrix, Perm
 from yagita.witness import build_extraspecial_monomial, build_q8
 
@@ -149,6 +150,59 @@ def test_prop6_random_deterministic(capsys):
     assert "all hold: True" in out1
 
 
+def _conjugated(m, p, seed, steps):
+    """m conjugated by seeded elementary matrices I + c*e_ij over Q(zeta_p),
+    whose inverses I - c*e_ij are exact: a dense matrix of m's order."""
+    rng = random.Random(seed)
+    n = m.size
+    for _ in range(steps):
+        i, j = rng.sample(range(n), 2)
+        c = zeta(p, rng.randrange(p)) * rng.choice((-2, -1, 1, 2))
+        e = [[int(a == b) for b in range(n)] for a in range(n)]
+        e[i][j] = c
+        e_inv = [row[:] for row in e]
+        e_inv[i][j] = -c
+        m = CycMatrix(e, p) * m * CycMatrix(e_inv, p)
+    return m
+
+
+def _dense_order_13_matrices():
+    cycle = CycMatrix([[int(i == (j + 1) % 13) for j in range(13)] for i in range(13)], 13)
+    rng = random.Random(5)
+    diag = CycMatrix.diagonal([zeta(13, rng.randrange(13)) for _ in range(8)])
+    return _conjugated(cycle, 13, 1, 26), _conjugated(diag, 13, 2, 16)
+
+
+# sha256 of the whole output, as the per-coefficient kernels printed it
+CHERN_JSON_SHA256 = (
+    "7cb4215ba099f85884db4914984aac08d5bfe44d87f6627a7dc5768fd643ce15",
+    "385f354fca144765ea19f514914a54b619d2d17210d3c08b0ea2705724006bb1",
+)
+PROP6_SHA256 = {
+    ("--prime", "7"): "03776c44b701c91de4d5538aa43553521dd90e51aea60d0f47f9fb909738cda2",
+    ("--prime", "13", "--random", "1000", "--seed", "4", "--json"):
+        "c2233052337b0ad9ee4056f5ab5b3e8e8f441a09eeff4ca0d5c275ea30201f62",
+}
+
+
+def test_chern_dense_matrix_outputs_are_pinned(tmp_path, capsys):
+    for k, (m, digest) in enumerate(zip(_dense_order_13_matrices(), CHERN_JSON_SHA256)):
+        # dense: most entries are stored, and they are not roots of unity
+        assert sum(map(len, m.nonzero)) > m.size**2 // 2
+        f = tmp_path / f"m{k}.json"
+        f.write_text(json.dumps(m.to_json()), encoding="utf-8")
+        code, out = run(capsys, "chern", "--matrix-file", str(f), "--prime", "13", "--json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", list(PROP6_SHA256), ids=" ".join)
+def test_prop6_outputs_are_pinned(capsys, argv):
+    code, out = run(capsys, "prop6", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PROP6_SHA256[argv]
+
+
 def test_prop6_explicit_poly(capsys):
     code, out = run(capsys, "prop6", "--prime", "3", "--poly", "1 + 2*x^2")
     assert code == 0 and "gcd=2" in out and "holds=True" in out
@@ -227,6 +281,7 @@ def test_witness_larger_than_claimed_exits_1(capsys, monkeypatch):
         ),
         (["prop6", "--prime", "3", "--random", "-5"], "--random must be at least 1"),
         (["prop6", "--prime", "3", "--random", "0"], "--random must be at least 1"),
+        (["prop6", "--prime", "9973", "--random", "1001"], "--random 1001 exceeds the cap 1000"),
     ],
 )
 def test_unbounded_input_exits_1(capsys, monkeypatch, argv, message):

@@ -40,7 +40,9 @@ def test_cyclotomic_poly_against_sympy():
     from sympy import Poly, cyclotomic_poly as sym_cyc
     from sympy.abc import x
 
-    for n in range(1, 40):
+    # 105 is the first n with a coefficient -2; 9240 = 2^3 * 3 * 5 * 7 * 11
+    # has the most prime factors under the conductor cap
+    for n in list(range(1, 40)) + [105, 385, 1155, 2310, 9240]:
         ours = cyclotomic_poly(n)
         theirs = tuple(reversed(Poly(sym_cyc(n, x), x).all_coeffs()))
         assert ours == theirs

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from yagita import cyclo
+from yagita import exactmat
 from yagita.cyclo import CycNum, cyclotomic_poly, zeta
 from yagita.exactmat import (
     CapExceededError,
@@ -265,22 +265,40 @@ def _count_number_products(monkeypatch):
     return products
 
 
-def _count_coordinate_products(monkeypatch):
-    conv = cyclo._mul_into
+class _CountedInt(int):
+    """A packed entry that records each product it takes part in."""
+
+    def __mul__(self, other):
+        self.log.append(1)
+        return int(self) * int(other)
+
+    __rmul__ = __mul__
+
+
+def _count_packed_products(monkeypatch):
+    pack = exactmat._pack
     calls = []
 
-    def counted(acc, an, bn):
-        calls.append(1)
-        conv(acc, an, bn)
+    def counted(*args):
+        rows = pack(*args)
+        out = []
+        for row in rows:
+            entries = []
+            for j, v in row:
+                v = _CountedInt(v)
+                v.log = calls
+                entries.append((j, v))
+            out.append(tuple(entries))
+        return tuple(out)
 
-    monkeypatch.setattr(cyclo, "_mul_into", counted)
+    monkeypatch.setattr(exactmat, "_pack", counted)
     return calls
 
 
 def test_sparse_product_count(monkeypatch):
     # a signed permutation matrix has one nonzero entry per row, so each
-    # entry of the product is one term: n**2 coordinate products (one per
-    # term, none through CycNum.__mul__), not n**3
+    # entry of the product is one term: n**2 products of packed entries
+    # (none through CycNum.__mul__), not n**3
     n = 6
     rng = random.Random(3)
     perm = rng.sample(range(n), n)
@@ -288,7 +306,7 @@ def test_sparse_product_count(monkeypatch):
     d = CycMatrix([[rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(n)] for _ in range(n)])
     want = CycMatrix([[(-1) ** i * d[perm[i], j] for j in range(n)] for i in range(n)])
     products = _count_number_products(monkeypatch)
-    terms = _count_coordinate_products(monkeypatch)
+    terms = _count_packed_products(monkeypatch)
     assert s * d == want
     assert len(terms) == n * n == 36
     assert products == []
@@ -327,12 +345,56 @@ def _dense_cyclotomic_operands():
     )
 
 
+def _uniform_operands(n, conductor, a_coord, b_coord):
+    """Two dense n x n matrices whose every coordinate is a_coord and
+    b_coord: the middle coordinate of each product entry sums
+    n * phi(conductor) equal terms, so it meets the packing bound
+    n * phi * max|a| * max|b| exactly."""
+    deg = euler_phi(conductor)
+    return tuple(
+        CycMatrix([[CycNum(conductor, [c] * deg) for _ in range(n)] for _ in range(n)], conductor)
+        for c in (a_coord, b_coord)
+    )
+
+
+def _negative_top_operands():
+    # the top coordinates are large, negative in the left operand and
+    # positive in the right, so every packed entry on the left and every
+    # packed sum of products is a negative integer
+    rng = random.Random(17)
+
+    def matrix(sign):
+        return CycMatrix(
+            [[CycNum(12, [rng.randint(-9, 9) for _ in range(3)] + [sign * (10**12 + rng.randint(0, 9))])
+              for _ in range(4)] for _ in range(4)],
+            12,
+        )
+
+    return matrix(-1), matrix(1)
+
+
+def _dense_101_operands():
+    rng = random.Random(101)
+    return tuple(
+        CycMatrix(
+            [[CycNum(101, [rng.randint(-9, 9) for _ in range(100)]) for _ in range(6)]
+             for _ in range(6)]
+        )
+        for _ in range(2)
+    )
+
+
 @given(mixed_conductor_operands())
 @example(_rescale_operands())
 @example(_dense_cyclotomic_operands())
+@example(_uniform_operands(3, 12, 10**20, 10**20))
+@example(_uniform_operands(2, 3, 2**31 - 1, 2**31 - 1))  # a 64-bit bound: the sign takes a byte
+@example(_uniform_operands(4, 5, -(2**31), 2**31 - 1))
+@example(_negative_top_operands())
+@example(_dense_101_operands())
 @settings(max_examples=60, deadline=None)
 def test_product_entries_match_dense_reference(operands):
-    # the lazily reduced entries are the canonical ones, coordinate for
+    # the packed, once-reduced entries are the canonical ones, coordinate for
     # coordinate and denominator for denominator, over the lcm conductor
     a, b = operands
     ab = a * b

@@ -3,7 +3,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from yagita.fppoly import (
@@ -100,6 +100,62 @@ def test_prop6_random_products(p):
     for _ in range(200):
         f = random_unit_root_product(p, rng)
         assert (p - 1) % check_prop6(f).m == 0
+
+
+def _random_product_by_objects(p, rng, max_factors=10):
+    """Reference: the same draws, multiplied as FpPoly objects."""
+    k = rng.randint(1, max_factors)
+    f = FpPoly.one(p)
+    for _ in range(k):
+        f = f * FpPoly.one_plus_ax(p, rng.randint(1, p - 1))
+    return f
+
+
+@pytest.mark.parametrize("p", [2, 3, 13, 9973])
+def test_random_product_matches_objects(p):
+    # the same polynomials from the same rng calls, in the same order
+    ours, ref = random.Random(p), random.Random(p)
+    for _ in range(50):
+        assert random_unit_root_product(p, ours) == _random_product_by_objects(p, ref)
+        assert ours.getstate() == ref.getstate()
+
+
+def _roots_by_objects(f):
+    """Reference: trial division with FpPoly objects, evaluating f(r) and
+    then dividing by (x - r) synthetically."""
+    p, g = f.p, f
+    roots = Counter()
+    for r in range(1, p):
+        while not g.is_constant and g.evaluate(r) == 0:
+            out, acc = [0] * g.degree, 0
+            for i in range(g.degree, 0, -1):
+                acc = (acc * r + g.coeffs[i]) % p
+                out[i - 1] = acc
+            g = FpPoly(p, out)
+            roots[r] += 1
+    return (True, roots) if g.is_constant else (False, Counter())
+
+
+@st.composite
+def root_products(draw):
+    """c * prod (x - r) over drawn roots r (0 and repeats allowed), times a
+    drawn monic cofactor that may or may not split."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 13]))
+    f = FpPoly.constant(p, draw(st.integers(1, p - 1)))
+    for r in draw(st.lists(st.integers(0, p - 1), max_size=8)):
+        f = f * FpPoly(p, (-r, 1))
+    cofactor = draw(st.lists(st.integers(0, p - 1), max_size=4))
+    return f * FpPoly(p, cofactor + [1])
+
+
+@given(root_products())
+@example(FpPoly(7, (1, 1)) ** 5 * FpPoly(7, (3, 1)) ** 2)  # splits, repeated roots
+@example(FpPoly(3, (1, 0, 1)) * FpPoly(3, (1, 1)))  # x^2 + 1 has no root mod 3
+@example(FpPoly(5, (0, 0, 1)) * FpPoly(5, (4, 1)))  # root 0, twice
+@example(FpPoly(13, (5,)))  # a constant
+@settings(max_examples=150, deadline=None)
+def test_all_roots_in_units_matches_objects(f):
+    assert f.all_roots_in_units() == _roots_by_objects(f)
 
 
 small_primes = st.sampled_from([2, 3, 5, 7])
