@@ -44,6 +44,6 @@ print("scanning all 13 order-3 subgroups of the order-27 witness:")
 w = build_extraspecial_monomial(3, 1)
 g = closure(w.generators)
 for i, rep in enumerate(order_p_cyclic_subgroups(g, 3)):
-    print(f"  subgroup {i:2d}: n_upper = {n_upper(eigen_exponents(rep, 3))}")
+    print(f"  subgroup {i:2d}: n_upper = {n_upper(eigen_exponents(g.matrix(rep), 3))}")
 print("lcm of 2*n_upper over subgroups:", yagita_upper_witness(g, 3))
 print("(the group invariant 6 divides it, as it must)")

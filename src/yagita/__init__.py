@@ -14,7 +14,6 @@ from .chern import (
     n_upper,
     rationality_check,
     total_chern,
-    yagita_upper_witness,
 )
 from .cyclo import CycNum, cyclotomic_poly, zeta
 from .exactmat import (
@@ -54,6 +53,7 @@ from .harness import (
     report_to_json,
     table,
     verify_case,
+    yagita_upper_witness,
 )
 from .ringspec import (
     AbstractRing,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclo import CycNum
-from .exactmat import CycMatrix, MatrixGroup, order_p_cyclic_subgroups
+from .exactmat import CycMatrix
 from .fppoly import INFINITY, FpPoly
 from .numutil import euler_phi, is_prime, ramanujan_sum
 
@@ -113,17 +113,3 @@ def rationality_check(m: CycMatrix, p: int, l: int) -> bool:
         return True
     return g % l == 0
 
-
-def yagita_upper_witness(group: MatrixGroup, p: int):
-    """Lcm of 2 * n_upper over one representative per order-p cyclic
-    subgroup: an upper-bound divisor for the Yagita invariant of any group
-    factoring through this matrix group.  Groups without order-p elements
-    give 1 (empty lcm); infinite entries impose no constraint and are
-    skipped."""
-    finite = []
-    # the scan has proved m**p = I for each representative
-    for m in order_p_cyclic_subgroups(group, p):
-        v = n_upper(exponents_from_trace(m.trace(), m.size, p))
-        if v != INFINITY:
-            finite.append(2 * int(v))
-    return math.lcm(*finite) if finite else 1

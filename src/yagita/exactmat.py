@@ -14,7 +14,7 @@ a pivot only when there is something below it to eliminate.
 A finite group of n x n matrices acts faithfully on Omega, the orbit of
 the basis vectors, since an element's columns are its images of them.
 ``closure`` enumerates the group as permutations of Omega, which every
-group computation reads; a matrix is rebuilt only where one is asked for.
+group computation reads (traces too); a matrix is rebuilt only on request.
 """
 
 from __future__ import annotations
@@ -367,6 +367,11 @@ class MatrixGroup:
                 rows[i].append((j, y))
         return CycMatrix._of(tuple(map(tuple, rows)), self.conductor)
 
+    def trace(self, x: Perm) -> CycNum:
+        """The trace of the element x: the sum over j of coordinate j of Omega[x[j]]."""
+        diag = (y for j in range(self.size) for i, y in self.omega[x[j]] if i == j)
+        return sum(diag, CycNum(self.conductor, ()))
+
 
 def closure(generators, cap: int = DEFAULT_CAP) -> MatrixGroup:
     """The group generated by the matrices: Omega takes one matrix-vector
@@ -397,9 +402,9 @@ def element_order(a: CycMatrix, cap: int = DEFAULT_CAP) -> int:
     return len(closure([a], cap))
 
 
-def order_p_cyclic_subgroups(group: MatrixGroup, p: int) -> list[CycMatrix]:
+def order_p_cyclic_subgroups(group: MatrixGroup, p: int) -> list[Perm]:
     """One generator per distinct cyclic subgroup of order p: the first of
-    its elements in enumeration order, as a matrix.
+    its elements in enumeration order.
 
     Two distinct subgroups of prime order meet only in the identity, so an
     element of a subgroup already found is skipped without an order test.
@@ -416,7 +421,7 @@ def order_p_cyclic_subgroups(group: MatrixGroup, p: int) -> list[CycMatrix]:
         for _ in range(p - 2):
             y = y * x
             covered.add(y)
-    return [group.matrix(x) for x in reps]
+    return reps
 
 
 Word = tuple[tuple[int, int], ...]

@@ -4,8 +4,8 @@
 menu of witness groups fitting in dimension n, verifies each one by closure
 enumeration, and certifies a lower bound as the lcm of the known invariants
 of the witnesses that actually verified.  It also runs the Chern-class
-consistency checks on every order-p cyclic subgroup of every verified
-witness.  The verdict is
+consistency checks, from traces read off permutations, on every order-p
+cyclic subgroup of every verified witness.  The verdict is
 
 * ``Pass``              -- certified lower bound equals the formula value;
 * ``PassWithAmbiguity`` -- the SL formula is only pinned up to a factor of 2
@@ -31,13 +31,12 @@ import math
 from dataclasses import dataclass, fields, is_dataclass
 
 from .chern import exponents_from_trace, n_upper
-from .exactmat import order_p_cyclic_subgroups
+from .exactmat import MatrixGroup, order_p_cyclic_subgroups
 from .fppoly import INFINITY, mp_q_decompose
 from .formulas import yagita_gl, yagita_sl, yagita_sl_Z
 from .numutil import MAX_N, MAX_PRIME, is_prime
 from .ringspec import RingSpec, compute_l, is_rational_integers
 from .witness import (
-    VerifiedWitness,
     WitnessEmbedding,
     verify_embedding,
     witness_menu,
@@ -69,27 +68,31 @@ def _check(w: WitnessEmbedding, p: int) -> _Checked:
     key = (str(w.kind), w.ring, w.padded, w.dimension)
     if key not in _checked:
         vw = verify_embedding(w)
-        rows = _chern_scan(vw, p) if vw.ok else ()
+        rows = _chern_scan(vw.group, p) if vw.ok else ()
         _checked[key] = _Checked(vw.ok, vw.order, rows)
     return _checked[key]
 
 
-def _chern_scan(vw: VerifiedWitness, p: int) -> tuple:
-    """Per order-p cyclic subgroup of a verified witness: the Chern divisor
-    bound, its m * p^q decomposition, and the x^l rationality flag."""
-    l_w = compute_l(vw.embedding.ring, p)
+def _chern_scan(group: MatrixGroup, p: int) -> tuple:
+    """Per order-p cyclic subgroup of the group: the Chern divisor bound,
+    its m * p^q decomposition, and whether m divides p - 1."""
     rows = []
-    # the scan has proved mrep**p = I for each representative
-    for idx, mrep in enumerate(order_p_cyclic_subgroups(vw.group, p)):
-        nu = n_upper(exponents_from_trace(mrep.trace(), mrep.size, p))
+    # the scan has proved x**p = 1 for each representative
+    for idx, x in enumerate(order_p_cyclic_subgroups(group, p)):
+        nu = n_upper(exponents_from_trace(group.trace(x), group.size, p))
         if nu == INFINITY:
-            rows.append((idx, "infinity", "infinity", "infinity", True, True))
+            rows.append((idx, "infinity", "infinity", "infinity", True))
         else:
             m_part, q_part = mp_q_decompose(int(nu), p)
-            prop_ok = (p - 1) % m_part == 0
-            rat_ok = int(nu) % l_w == 0
-            rows.append((idx, int(nu), m_part, q_part, prop_ok, rat_ok))
+            rows.append((idx, int(nu), m_part, q_part, (p - 1) % m_part == 0))
     return tuple(rows)
+
+
+def yagita_upper_witness(group: MatrixGroup, p: int) -> int:
+    """Lcm of 2 * n_upper over the order-p cyclic subgroups, skipping the
+    infinite ones (1 if none): an upper-bound divisor for the Yagita
+    invariant of any group factoring through this matrix group."""
+    return math.lcm(*(2 * nu for _, nu, *_ in _chern_scan(group, p) if nu != "infinity"))
 
 
 @dataclass(frozen=True)
@@ -152,7 +155,8 @@ def verify_case(p: int, n: int, ring: RingSpec, sl: bool = False) -> Verificatio
         checked = _check(w, p)
         # a verified embedding transports its group's known invariant into
         # GL_n, so that invariant must divide the GL formula value
-        ambient = yagita_gl(p, w.dimension, compute_l(w.ring, p))
+        l_w = compute_l(w.ring, p)
+        ambient = yagita_gl(p, w.dimension, l_w)
         oracle_ok = gl_value % w.expected_yagita == 0 and ambient % w.expected_yagita == 0
         lines.append(
             WitnessLine(
@@ -169,7 +173,8 @@ def verify_case(p: int, n: int, ring: RingSpec, sl: bool = False) -> Verificatio
             hard_fail = True
             continue
         certified = math.lcm(certified, w.expected_yagita)
-        for idx, nu, m_part, q_part, prop_ok, rat_ok in checked.chern_rows:
+        for idx, nu, m_part, q_part, prop_ok in checked.chern_rows:
+            rat_ok = nu == "infinity" or nu % l_w == 0
             divides = nu == "infinity" or gl_value % (2 * nu) == 0
             if not (prop_ok and rat_ok and divides):
                 hard_fail = True

@@ -515,15 +515,17 @@ def verify_embedding(w: WitnessEmbedding) -> VerifiedWitness:
     Order equality plus the presentation checks pin the group: the matrices
     satisfy all relations of the abstract group, so they generate a
     quotient of it, and matching orders force an isomorphism (faithfulness).
-    Relators and center are read on permutations of the basis-vector orbit.
+    Relators, central commutations and center are read exactly on the
+    group's faithful permutations of the basis-vector orbit.
     The claimed order bounds the enumeration: a group with more elements
     raises CapExceededError at the first element past the claim.
     """
     group = closure(w.generators, w.expected_order)
     order_ok = len(group) == w.expected_order
     relations_ok = relations_check(group, w.relators)
+    gens = group.gens
     central_ok = all(
-        w.generators[i] * w.generators[j] == s * (w.generators[j] * w.generators[i])
+        group.matrix(gens[i] * gens[j] * (gens[j] * gens[i]).inverse()) == s
         for i, j, s in w.central_commutations
     )
     # det is multiplicative, so the generators' determinants settle the SL

@@ -115,7 +115,7 @@ def test_criterion_3_chern_consistency():
         assert ambient % w.expected_yagita == 0, label
         reps = order_p_cyclic_subgroups(vw.group, p)
         assert reps, label
-        for m_rep in reps:
+        for m_rep in map(vw.group.matrix, reps):
             nu = n_upper(eigen_exponents(m_rep, p))
             assert nu != INFINITY, label  # order-p generators act nontrivially
             m_part, _q = mp_q_decompose(int(nu), p)

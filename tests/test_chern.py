@@ -12,11 +12,11 @@ from yagita.chern import (
     n_upper,
     rationality_check,
     total_chern,
-    yagita_upper_witness,
 )
 from yagita.cyclo import CycNum, zeta
 from yagita.exactmat import CycMatrix, block_diag, closure
 from yagita.fppoly import INFINITY, FpPoly
+from yagita.harness import yagita_upper_witness
 from yagita.ringspec import RationalIntegers
 from yagita.witness import (
     build_extraspecial_monomial,

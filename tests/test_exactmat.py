@@ -544,7 +544,8 @@ def test_order_p_cyclic_subgroups_matches_power_sets(p, ring):
     # over Z (20) included; a determinant-padded witness enumerates like its
     # unpadded group, so it is left out.  The permutation engine must give
     # the matrix closure's elements in its order, its center count and the
-    # power-set reference's order-p representatives.
+    # power-set reference's order-p representatives, and each element's
+    # trace read off Omega must be the trace of its matrix.
     ring = parse_ring("Z" if ring == "Z" else f"cyclotomic:{p}")
     witnesses = [
         e.embedding
@@ -557,9 +558,10 @@ def test_order_p_cyclic_subgroups_matches_power_sets(p, ring):
         vw = verify_embedding(w)
         got = [vw.group.matrix(x) for x in vw.elements]
         assert [_matrix_key(m) for m in got] == [_matrix_key(m) for m in want], w
+        assert all(vw.group.trace(x).key() == m.trace().key() for x, m in zip(vw.elements, got)), w
         center = [x for x in want if all(g * x == x * g for g in w.generators)]
         assert vw.center_ok and len(center) == w.expected_center, w
-        reps = order_p_cyclic_subgroups(vw.group, p)
+        reps = [vw.group.matrix(x) for x in order_p_cyclic_subgroups(vw.group, p)]
         want_reps = _order_p_reps_by_power_sets(want, p)
         assert [_matrix_key(m) for m in reps] == [_matrix_key(m) for m in want_reps], w
 

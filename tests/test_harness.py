@@ -190,7 +190,7 @@ def test_chern_scan_takes_one_pth_power_per_scanned_element(monkeypatch):
     reps = order_p_cyclic_subgroups(vw.group, 3)
     alone = list(powers)
     powers.clear()
-    rows = harness._chern_scan(vw, 3)
+    rows = harness._chern_scan(vw.group, 3)
     # exponent 3: each of the 13 subgroups is scanned at its first element
     assert alone == [("Perm", 3)] * len(reps) == [("Perm", 3)] * 13
     assert powers == alone

@@ -359,6 +359,24 @@ def test_false_sl_claim_fails():
 
 
 @pytest.mark.parametrize(
+    "w, s",
+    [
+        # Z X = zeta_3 X Z, not zeta_3^2 X Z
+        (build_extraspecial_monomial(3, 1), zeta(3, 2) * CycMatrix.identity(3, 3)),
+        # the slot blocks anticommute, so the scalar is -I, not +I
+        (build_e2m_integer(2), CycMatrix.identity(4)),
+        # 2 I is no element of the group: it maps Omega off itself
+        (build_e2m_integer(2), 2 * CycMatrix.identity(4)),
+    ],
+)
+def test_false_central_commutation_fails(w, s):
+    assert verify_embedding(w).central_ok is True
+    central = tuple((i, j, s) for i, j, _ in w.central_commutations)
+    vw = verify_embedding(dataclasses.replace(w, central_commutations=central))
+    assert vw.central_ok is False and vw.ok is False
+
+
+@pytest.mark.parametrize(
     "kind, ring",
     [
         (WitnessKind("G1", 3, 2), Z),
