@@ -21,14 +21,18 @@ cyclic subgroup of every verified witness.  The verdict is
                            element past the claim (the CLI exits 1).
 
 Report JSON serializes every integer as a decimal string so downstream
-consumers cannot lose precision.
+consumers cannot lose precision.  ``report_to_json`` writes it in one walk
+over the report's records, byte-identical to ``json.dumps(indent=2,
+sort_keys=True)`` of the same data (whose ``indent`` takes the slower
+pure-Python encoder); ``report_to_dict`` parses that text back.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, fields
+from json.encoder import encode_basestring_ascii
 
 from .chern import exponents_from_trace, n_upper
 from .exactmat import MatrixGroup, order_p_cyclic_subgroups
@@ -253,32 +257,61 @@ def table_tsv(rows: list[TableRow]) -> str:
 # ---------------------------------------------------------------------------
 # JSON with integers as decimal strings
 
-
-def _stringify(obj):
-    """The JSON form of a report or a part of one, in one walk: dataclasses
-    become dicts of their fields, tuples lists and integers decimal
-    strings."""
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, (list, tuple)):
-        return [_stringify(v) for v in obj]
-    if is_dataclass(obj):
-        return {f.name: _stringify(getattr(obj, f.name)) for f in fields(obj)}
-    if isinstance(obj, float):
-        if math.isinf(obj):
-            return "infinity"
-        raise TypeError("no inexact numbers belong in a report")
-    return obj
+# each record type's fields, sorted, with the JSON text of each key
+_FIELDS = {
+    cls: tuple(
+        (name, f"{encode_basestring_ascii(name)}: ") for name in sorted(f.name for f in fields(cls))
+    )
+    for cls in (VerificationReport, WitnessLine, ChernLine)
+}
 
 
-def report_to_dict(report: VerificationReport) -> dict:
-    return _stringify(report)
+def _emit(obj, out: list, pad: str) -> None:
+    """Append the JSON text of a report or a part of one, indented by pad,
+    to out: records become objects with sorted keys, tuples lists and
+    integers decimal strings; the pieces are those json.dumps(indent=2,
+    sort_keys=True) writes.  Any float but infinity raises TypeError."""
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif isinstance(obj, bool):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, int):
+        out.append('"%d"' % obj)
+    elif type(obj) in _FIELDS:
+        inner = pad + "  "
+        sep = "{\n" + inner
+        for name, key in _FIELDS[type(obj)]:
+            out.append(sep + key)
+            sep = ",\n" + inner
+            _emit(getattr(obj, name), out, inner)
+        out.append("\n" + pad + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        sep = "[\n" + inner
+        for v in obj:
+            out.append(sep)
+            sep = ",\n" + inner
+            _emit(v, out, inner)
+        out.append("\n" + pad + "]")
+    elif isinstance(obj, float):
+        if not math.isinf(obj):
+            raise TypeError("no inexact numbers belong in a report")
+        out.append('"infinity"')
+    else:
+        raise TypeError(f"no {type(obj).__name__} belongs in a report")
 
 
 def report_to_json(report: VerificationReport) -> str:
-    return json.dumps(report_to_dict(report), indent=2, sort_keys=True)
+    out: list[str] = []
+    _emit(report, out, "")
+    return "".join(out)
+
+
+def report_to_dict(report: VerificationReport) -> dict:
+    return json.loads(report_to_json(report))
 
 
 def exit_code(verdict: str) -> int:

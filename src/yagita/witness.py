@@ -531,7 +531,13 @@ def verify_embedding(w: WitnessEmbedding) -> VerifiedWitness:
     # det is multiplicative, so the generators' determinants settle the SL
     # claim for every element of the group they generate
     sl_ok = (not w.claims_sl) or all(det(g) == 1 for g in w.generators)
-    center = sum(1 for x in group.elements() if all(g * x == x * g for g in group.gens))
+    # column j of an element x is Omega[x[j]] and the action on Omega is
+    # faithful, so g x = x g exactly when their columns agree: g[x[j]] ==
+    # x[g[j]] for every j < n, the basis vectors at the head of Omega
+    n = group.size
+    center = sum(
+        1 for x in group.elements() if all(g[x[j]] == x[g[j]] for g in group.gens for j in range(n))
+    )
     center_ok = center == w.expected_center
     return VerifiedWitness(
         embedding=w,

@@ -12,10 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import yagita.cli
 from yagita.cli import main
 from yagita.cyclo import zeta
 from yagita.exactmat import CycMatrix, Perm
-from yagita.witness import build_extraspecial_monomial, build_q8
+from yagita.ringspec import RationalIntegers
+from yagita.witness import WitnessKind, build, build_extraspecial_monomial, build_q8
 
 
 def run(capsys, *argv):
@@ -65,6 +67,18 @@ def test_witness_q8_json(capsys):
         code, out = run(capsys, "witness", "--kind", kind, "--ring", ring, "--json")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, (kind, ring)
+
+
+def test_witness_json_cap_is_inclusive(capsys, monkeypatch):
+    e24 = build(WitnessKind("E", 2, 4), RationalIntegers())
+    assert e24.expected_order * e24.dimension**2 <= yagita.cli.MAX_JSON_ENTRIES
+    # Q8: 8 elements of size 2
+    monkeypatch.setattr(yagita.cli, "MAX_JSON_ENTRIES", 32)
+    assert run(capsys, "witness", "--kind", "q8", "--json")[0] == 0
+    monkeypatch.setattr(yagita.cli, "MAX_JSON_ENTRIES", 31)
+    assert main(["witness", "--kind", "q8", "--json"]) == 1
+    assert "exceeds the cap 31" in capsys.readouterr().err
+    assert run(capsys, "witness", "--kind", "q8")[0] == 0
 
 
 def test_witness_g1(capsys):
@@ -282,6 +296,11 @@ def test_witness_larger_than_claimed_exits_1(capsys, monkeypatch):
         (["prop6", "--prime", "3", "--random", "-5"], "--random must be at least 1"),
         (["prop6", "--prime", "3", "--random", "0"], "--random must be at least 1"),
         (["prop6", "--prime", "9973", "--random", "1001"], "--random 1001 exceeds the cap 1000"),
+        (
+            ["witness", "--kind", "e:2:6", "--ring", "Z", "--json"],
+            "--json output of 33554432 matrix entries (8192 elements of size 64) "
+            "exceeds the cap 131072",
+        ),
     ],
 )
 def test_unbounded_input_exits_1(capsys, monkeypatch, argv, message):

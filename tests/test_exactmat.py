@@ -545,7 +545,9 @@ def test_order_p_cyclic_subgroups_matches_power_sets(p, ring):
     # unpadded group, so it is left out.  The permutation engine must give
     # the matrix closure's elements in its order, its center count and the
     # power-set reference's order-p representatives, and each element's
-    # trace read off Omega must be the trace of its matrix.
+    # trace read off Omega must be the trace of its matrix.  The center is
+    # counted on the first n points of Omega; the count of full
+    # permutation products must agree with it and with the matrices.
     ring = parse_ring("Z" if ring == "Z" else f"cyclotomic:{p}")
     witnesses = [
         e.embedding
@@ -561,6 +563,8 @@ def test_order_p_cyclic_subgroups_matches_power_sets(p, ring):
         assert all(vw.group.trace(x).key() == m.trace().key() for x, m in zip(vw.elements, got)), w
         center = [x for x in want if all(g * x == x * g for g in w.generators)]
         assert vw.center_ok and len(center) == w.expected_center, w
+        gens = vw.group.gens
+        assert sum(1 for x in vw.elements if all(g * x == x * g for g in gens)) == len(center), w
         reps = [vw.group.matrix(x) for x in order_p_cyclic_subgroups(vw.group, p)]
         want_reps = _order_p_reps_by_power_sets(want, p)
         assert [_matrix_key(m) for m in reps] == [_matrix_key(m) for m in want_reps], w

@@ -1,16 +1,23 @@
 import dataclasses
 import json
+import math
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from yagita import exactmat, harness, witness
 from yagita.exactmat import CycMatrix, order_p_cyclic_subgroups
+from yagita.fppoly import INFINITY
 from yagita.harness import (
     FAIL,
     INCOMPLETE,
     PASS,
     PASS_WITH_AMBIGUITY,
+    ChernLine,
+    VerificationReport,
+    WitnessLine,
     exit_code,
     report_to_dict,
     report_to_json,
@@ -90,6 +97,94 @@ def test_report_json_round_trip_and_strings():
     assert all(isinstance(w["oracle"], str) for w in parsed["witnesses"])
     d = report_to_dict(r)
     assert d["p"] == "3" and d["verdict"] == "Pass"
+
+
+def _oracle(obj):
+    """The reference serialization: records become dicts of their fields,
+    tuples lists and integers decimal strings, for json.dumps(indent=2,
+    sort_keys=True) to write."""
+    if isinstance(obj, bool):
+        return obj
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, (list, tuple)):
+        return [_oracle(v) for v in obj]
+    if dataclasses.is_dataclass(obj):
+        return {f.name: _oracle(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, float):
+        if math.isinf(obj):
+            return "infinity"
+        raise TypeError("no inexact numbers belong in a report")
+    return obj
+
+
+def _assert_matches_oracle(report):
+    want = _oracle(report)
+    assert report_to_json(report) == json.dumps(want, indent=2, sort_keys=True)
+    assert report_to_dict(report) == want
+
+
+def test_report_json_matches_json_dumps():
+    reports = [
+        verify_case(3, 6, Z),
+        verify_case(5, 5, Cyclotomic(5)),
+        verify_case(5, 4, Z, sl=True),
+        verify_case(7, 6, QuadraticOrder(-7)),
+    ]
+    assert [r.verdict for r in reports] == [PASS, PASS, PASS_WITH_AMBIGUITY, INCOMPLETE]
+    assert reports[-1].witnesses == () and reports[-1].chern_consistency == ()
+    # a trivially acting element's Chern line carries INFINITY
+    r = reports[0]
+    lines = tuple(
+        dataclasses.replace(c, n_upper=INFINITY, m=INFINITY, q="infinity")
+        for c in r.chern_consistency
+    )
+    reports.append(dataclasses.replace(r, chern_consistency=lines))
+    assert lines and '"n_upper": "infinity"' in report_to_json(reports[-1])
+    for report in reports:
+        _assert_matches_oracle(report)
+
+
+_text = st.text(st.one_of(st.sampled_from('"\\/\n\t\x00\x1f\x7fζ\u2028'), st.characters()))
+_scalar = st.one_of(
+    _text,
+    st.booleans(),
+    st.integers(-(10**30), 10**30),
+    st.sampled_from([10**30, -(10**30), 0, -1]),
+    st.just(INFINITY),
+    st.just(()),
+)
+
+
+def _records(cls, **given_fields):
+    values = {f.name: _scalar for f in dataclasses.fields(cls)}
+    return st.builds(cls, **{**values, **given_fields})
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    _records(
+        VerificationReport,
+        witnesses=st.lists(_records(WitnessLine), max_size=3).map(tuple),
+        chern_consistency=st.lists(_records(ChernLine), max_size=3).map(tuple),
+    )
+)
+def test_report_json_matches_json_dumps_on_built_reports(report):
+    _assert_matches_oracle(report)
+
+
+@pytest.mark.parametrize("x", [1.5, 0.0, -2.0, math.nan])
+def test_report_json_rejects_inexact_numbers(x):
+    r = verify_case(3, 2, Z)
+    line = dataclasses.replace(r.chern_consistency[0], m=x)
+    bad_reports = (
+        dataclasses.replace(r, formula_value=x),
+        dataclasses.replace(r, chern_consistency=(line,)),
+    )
+    for bad in bad_reports:
+        for write in (report_to_json, report_to_dict):
+            with pytest.raises(TypeError, match="inexact"):
+                write(bad)
 
 
 def test_table_p2():

@@ -358,6 +358,15 @@ def test_false_sl_claim_fails():
     assert vw.sl_ok is False and vw.ok is False
 
 
+@pytest.mark.parametrize("center", [1, 9])
+def test_false_center_fails(center):
+    # the center of E(3,1) is its 3 scalars
+    w = build_extraspecial_monomial(3, 1)
+    assert w.expected_center == 3 and verify_embedding(w).center_ok is True
+    vw = verify_embedding(dataclasses.replace(w, expected_center=center))
+    assert vw.center_ok is False and vw.ok is False
+
+
 @pytest.mark.parametrize(
     "w, s",
     [
