@@ -103,9 +103,10 @@ def _cmd_witness(args) -> int:
 
 
 def _read_matrix(path: str) -> CycMatrix:
-    """Read a matrix file, bounding its size, the lcm of its conductors and
-    the length of each entry before any arithmetic: an entry over conductor
-    N is a list of at most phi(N) coefficients."""
+    """Read a matrix file, checking that every conductor is positive and
+    bounding its size, the lcm of its conductors and the length of each
+    entry before any arithmetic: an entry over conductor N is a list of at
+    most phi(N) coefficients."""
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
     try:
@@ -116,13 +117,14 @@ def _read_matrix(path: str) -> CycMatrix:
             )
         cond = 1
         for c in [obj["conductor"]] + [x["conductor"] for row in rows for x in row]:
-            cond = math.lcm(cond, json_int(c))
+            c = json_int(c)
+            if c < 1:
+                raise ValueError(f"conductor {c} is not positive")
+            cond = math.lcm(cond, c)
             if cond > MAX_PRIME:
                 raise ValueError(f"conductor {cond} exceeds the cap {MAX_PRIME}")
         for x in (x for row in rows for x in row):
             num, n = x["num"], json_int(x["conductor"])
-            if n < 1:
-                raise ValueError(f"conductor {n} is not positive")
             if not isinstance(num, list):
                 raise TypeError("entry num is not a list")
             if len(num) > euler_phi(n):

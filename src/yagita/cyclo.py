@@ -200,10 +200,6 @@ class CycNum:
     def is_zero(self) -> bool:
         return not any(self.num)
 
-    @property
-    def is_one(self) -> bool:
-        return self.den == 1 and self.num[0] == 1 and not any(self.num[1:])
-
     # -- conversions ---------------------------------------------------------
 
     def as_rational(self) -> Fraction | None:

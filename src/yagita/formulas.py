@@ -1,22 +1,25 @@
 """Closed-form Yagita invariants of GL_n and SL_n over the supported rings.
 
 Everything here is exact integer arithmetic.  The GL value depends on the
-coefficient ring only through l = [F(zeta_p) : F]; the SL value equals the
-GL value except in two narrow situations (p = 2 in dimension 2, and n of
-the form 2^r * l over rings missing an n-th root of -1), where only the
-pair {value, value/2} is determined.  That ambiguity is a first-class
-result (``SlResult.ambiguous``), never silently collapsed; over Z it is
-settled separately (``yagita_sl_Z``), where the answer is the half value.
+coefficient ring only through l = [F(zeta_p) : F], and ``yagita_gl`` is the
+one place it is evaluated: the values over Z and over rings containing
+zeta_p are that form at l = p - 1 and l = 1.  The SL value equals the GL
+value except in two narrow situations (p = 2 in dimension 2, and n of the
+form 2^r * l over rings missing an n-th root of -1), where only the pair
+{value, value/2} is determined.  That ambiguity is a first-class result
+(``SlResult.ambiguous``), never silently collapsed; over Z
+(``yagita_sl_Z``) it is the general SL form with the ambiguity resolved to
+the half value.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .numutil import divisors, factorize, is_prime
 from .ringspec import (
+    RationalIntegers,
     RingSpec,
     contains_zeta_p,
     has_nth_root_of_minus_one,
@@ -31,14 +34,6 @@ class SlResult:
     value: int
     ambiguous: bool
 
-    @classmethod
-    def exact(cls, value: int) -> SlResult:
-        return cls(value, False)
-
-    @classmethod
-    def ambiguous_half(cls, value: int) -> SlResult:
-        return cls(value, True)
-
     def candidates(self) -> tuple[int, ...]:
         return (self.value, self.value // 2) if self.ambiguous else (self.value,)
 
@@ -49,8 +44,9 @@ class SlResult:
 
 
 def psi(t, p: int) -> int:
-    """Greatest integer power of p that is <= t; t >= 1, handled exactly."""
-    t = Fraction(t)
+    """Greatest integer power of p that is <= t, for a rational t >= 1:
+    only the floor of t matters, so the comparisons are on integers."""
+    t = math.floor(t)
     if t < 1:
         raise ValueError("psi wants t >= 1")
     power = 1
@@ -76,7 +72,7 @@ def yagita_gl(p: int, n: int, l: int) -> int:
         return 1
     if n <= p - 1:
         return 2 * math.lcm(*[m for m in divisors(p - 1) if m % l == 0 and m <= n])
-    return 2 * (p - 1) * psi(Fraction(n, l), p)
+    return 2 * (p - 1) * psi(n // l, p)
 
 
 def yagita_sl(p: int, n: int, l: int, ring: RingSpec) -> SlResult:
@@ -87,53 +83,35 @@ def yagita_sl(p: int, n: int, l: int, ring: RingSpec) -> SlResult:
     value = yagita_gl(p, n, l)
     if p == 2:
         if n == 2 and not has_nth_root_of_minus_one(ring, 2):
-            return SlResult.ambiguous_half(value)
-        return SlResult.exact(value)
+            return SlResult(value, True)
+        return SlResult(value, False)
     # odd p: n = 2^r * l with 2^r | (p-1)/l and no n-th root of -1 in the ring
     if n % l == 0:
         q = n // l
         if q & (q - 1) == 0 and ((p - 1) // l) % q == 0:
             if not has_nth_root_of_minus_one(ring, n):
-                return SlResult.ambiguous_half(value)
-    return SlResult.exact(value)
+                return SlResult(value, True)
+    return SlResult(value, False)
 
 
 def yagita_gl_Z(p: int, n: int) -> int:
     """GL_n over the rational integers: the l = p - 1 specialization."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n < p - 1:
-        return 1
-    return 2 * (p - 1) * psi(Fraction(n, p - 1), p)
+    return yagita_gl(p, n, p - 1)
 
 
 def yagita_sl_Z(p: int, n: int) -> int:
-    """SL_n over Z; always exact.  The two cases the generic SL formula
-    leaves open (n = p - 1 for odd p, and n = p = 2) resolve to the half
-    value here."""
-    if n < 2:
-        raise ValueError("SL_n needs n >= 2")
-    value = yagita_gl_Z(p, n)
-    if p == 2 and n == 2:
-        return 2
-    if p % 2 == 1 and n == p - 1:
-        return p - 1
-    return value
+    """SL_n over Z; always exact.  The cases the general SL form leaves
+    open over Z (n = p - 1 for odd p, and n = p = 2) resolve to the half
+    value."""
+    res = yagita_sl(p, n, p - 1, RationalIntegers())
+    return res.value // 2 if res.ambiguous else res.value
 
 
 def yagita_gl_R(p: int, n: int, ring: RingSpec | None = None) -> int:
     """GL_n over a ring containing zeta_p: the l = 1 specialization."""
     if ring is not None and not contains_zeta_p(ring, p):
         raise ValueError("ring does not contain a primitive p-th root of unity")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n <= p - 1:
-        return 2 * math.lcm(*[m for m in divisors(p - 1) if m <= n])
-    return 2 * (p - 1) * psi(n, p)
+    return yagita_gl(p, n, 1)
 
 
 def yagita_sl_R(p: int, n: int, ring: RingSpec) -> SlResult:
@@ -144,14 +122,14 @@ def yagita_sl_R(p: int, n: int, ring: RingSpec) -> SlResult:
         raise ValueError("ring does not contain a primitive p-th root of unity")
     if n < 2:
         raise ValueError("SL_n needs n >= 2")
-    value = yagita_gl_R(p, n)
+    value = yagita_gl(p, n, 1)
     if n >= max(p, 3):
-        return SlResult.exact(value)
+        return SlResult(value, False)
     if p % 2 == 1 and has_nth_root_of_minus_one(ring, p - 1):
-        return SlResult.exact(value)
+        return SlResult(value, False)
     if n == 2 and p == 2 and has_nth_root_of_minus_one(ring, 2):
-        return SlResult.exact(value)
-    return SlResult.ambiguous_half(value)
+        return SlResult(value, False)
+    return SlResult(value, True)
 
 
 def oracle_yagita(kind) -> int:

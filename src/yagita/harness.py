@@ -64,12 +64,12 @@ class _Checked:
     chern_rows: tuple
 
 
-# keyed by (kind, ring, padded, dimension); the kind implies p
+# keyed by (kind, ring, padded), which fix the embedding; the kind implies p
 _checked: dict[tuple, _Checked] = {}
 
 
 def _check(w: WitnessEmbedding, p: int) -> _Checked:
-    key = (str(w.kind), w.ring, w.padded, w.dimension)
+    key = (w.kind, w.ring, w.padded)
     if key not in _checked:
         vw = verify_embedding(w)
         rows = _chern_scan(vw.group, p) if vw.ok else ()
@@ -149,13 +149,12 @@ def verify_case(p: int, n: int, ring: RingSpec, sl: bool = False) -> Verificatio
     else:
         value, ambiguous = gl_value, False
 
-    menu = [e for e in witness_menu(p, n, ring) if (e.in_sl if sl else e.in_gl)]
+    menu = [w for w in witness_menu(p, n, ring) if (w.claims_sl if sl else not w.padded)]
     lines: list[WitnessLine] = []
     chern_lines: list[ChernLine] = []
     hard_fail = False
     certified = 1
-    for entry in menu:
-        w = entry.embedding
+    for w in menu:
         checked = _check(w, p)
         # a verified embedding transports its group's known invariant into
         # GL_n, so that invariant must divide the GL formula value

@@ -591,32 +591,26 @@ def build(kind: WitnessKind, ring: RingSpec, padded: bool = False) -> WitnessEmb
 # the menu: which witnesses fit inside GL_n / SL_n over a given ring
 
 
-@dataclass(frozen=True)
-class MenuEntry:
-    embedding: WitnessEmbedding
-    in_gl: bool
-    in_sl: bool
-
-
-def witness_menu(p: int, n: int, ring: RingSpec) -> list[MenuEntry]:
+def witness_menu(p: int, n: int, ring: RingSpec) -> list[WitnessEmbedding]:
     """All constructible witnesses fitting in dimension n over the ring.
 
-    A witness of dimension d <= n sits inside GL_n by padding with the
-    identity; the SL flag additionally requires determinant 1 (directly,
-    via a root-of-unity twist, or via the determinant pad into dimension
-    d + 1).  The list may be empty: over rings with 1 < l < p - 1 no
+    An unpadded witness of dimension d <= n sits inside GL_n by padding
+    with the identity; the ones with ``claims_sl`` sit inside SL_n, which
+    requires determinant 1 (directly, via a root-of-unity twist, or via
+    the determinant pad into dimension d + 1, which is offered for SL
+    only).  The list may be empty: over rings with 1 < l < p - 1 no
     integral model is available here.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    entries: list[MenuEntry] = []
+    entries: list[WitnessEmbedding] = []
     size = min(n, MAX_MATRIX_SIZE)
 
     def add(kind: WitnessKind, model_ring: RingSpec = ring) -> None:
         w = build(kind, model_ring)
-        entries.append(MenuEntry(w, True, w.claims_sl))
+        entries.append(w)
         if not w.claims_sl and w.dimension + 1 <= size:
-            entries.append(MenuEntry(build(kind, model_ring, True), False, True))
+            entries.append(build(kind, model_ring, True))
 
     if isinstance(ring, AbstractRing):
         return entries
@@ -650,7 +644,5 @@ def witness_menu(p: int, n: int, ring: RingSpec) -> list[MenuEntry]:
         while p**q <= MAX_MATRIX_SIZE and scale * p**q <= size:
             add(WitnessKind("E", p, q))
             q += 1
-    entries.sort(
-        key=lambda e: (str(e.embedding.kind), e.embedding.padded, e.embedding.dimension)
-    )
+    entries.sort(key=lambda w: (str(w.kind), w.padded, w.dimension))
     return entries

@@ -380,12 +380,21 @@ def _entry(conductor=1, num=(0,), den=1):
             {"size": 1, "conductor": 1, "entries": [[_entry(2.5, (1,))]]},
             "expected an integer, got 2.5",
         ),
+        (  # the top-level conductor was folded into the lcm unchecked, so 0
+            # and -7 were read as conductor 1 and the identity's answer came out
+            {"size": 1, "conductor": 0, "entries": [[_entry(1, (1,))]]},
+            "conductor 0 is not positive",
+        ),
+        (
+            {"size": 1, "conductor": -7, "entries": [[_entry(1, (1,))]]},
+            "conductor -7 is not positive",
+        ),
     ],
 )
 def test_chern_rejects_bad_matrix_file(tmp_path, capsys, monkeypatch, matrix, message):
     f = tmp_path / "m.json"
     f.write_text(json.dumps(matrix), encoding="utf-8")
-    if "cap" in message or "malformed" in message:
+    if "cap" in message or "malformed" in message or "not positive" in message:
         # the bounds are checked before any entry becomes a number
         def no_parse(obj):
             raise AssertionError("matrix parsed before its bounds were checked")

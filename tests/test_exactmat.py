@@ -550,9 +550,7 @@ def test_order_p_cyclic_subgroups_matches_power_sets(p, ring):
     # permutation products must agree with it and with the matrices.
     ring = parse_ring("Z" if ring == "Z" else f"cyclotomic:{p}")
     witnesses = [
-        e.embedding
-        for e in witness_menu(p, 20, ring)
-        if e.embedding.expected_order <= 250 and not e.embedding.padded
+        w for w in witness_menu(p, 20, ring) if w.expected_order <= 250 and not w.padded
     ]
     assert witnesses
     for w in witnesses:

@@ -261,7 +261,7 @@ def test_each_witness_verified_once_and_no_elements_cached(monkeypatch):
     for sl, n_min in ((False, 1), (True, 2)):
         for n in range(n_min, 5):
             assert verify_case(2, n, Z, sl=sl).verdict != FAIL
-    distinct = {str(e.embedding) for n in range(1, 5) for e in witness_menu(2, n, Z)}
+    distinct = {str(w) for n in range(1, 5) for w in witness_menu(2, n, Z)}
     assert len(distinct) == 3  # D8, its SL pad and E(2,2)
     assert dict(calls) == dict.fromkeys(distinct, 1)
     assert len(harness._checked) == len(distinct)

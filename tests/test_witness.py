@@ -6,6 +6,7 @@ import pytest
 from yagita import witness
 from yagita.cyclo import CycNum, zeta
 from yagita.exactmat import CycMatrix, closure, det
+from yagita.harness import verify_case
 from yagita.ringspec import (
     AbstractRing,
     Cyclotomic,
@@ -245,11 +246,11 @@ def test_q8():
 
 def test_witness_menu_contents():
     menu = witness_menu(3, 2, Z)
-    kinds = [str(e.embedding.kind) for e in menu]
+    kinds = [str(w.kind) for w in menu]
     assert "G1(3,2)" in kinds
 
     menu2 = witness_menu(2, 4, Z)
-    kinds2 = [str(e.embedding.kind) for e in menu2]
+    kinds2 = [str(w.kind) for w in menu2]
     assert "E(2,2)" in kinds2 and "D8" in kinds2
 
     assert witness_menu(5, 3, Z) == []
@@ -257,29 +258,32 @@ def test_witness_menu_contents():
 
 def test_witness_menu_sl_flags():
     menu = witness_menu(5, 4, Z)
-    by_kind = {(str(e.embedding.kind), e.embedding.padded): e for e in menu}
-    assert by_kind[("G1(5,2)", False)].in_sl  # (p-1)/m even: already in SL
-    assert not by_kind[("G1(5,4)", False)].in_sl  # det -1, pad does not fit n=4
+    by_kind = {(str(w.kind), w.padded): w for w in menu}
+    assert by_kind[("G1(5,2)", False)].claims_sl  # (p-1)/m even: already in SL
+    assert not by_kind[("G1(5,4)", False)].claims_sl  # det -1, pad does not fit n=4
     assert ("G1(5,4)", True) not in by_kind
 
     menu5 = witness_menu(5, 5, Z)
-    padded = [e for e in menu5 if e.embedding.padded]
-    assert any(str(e.embedding.kind) == "G1(5,4)" for e in padded)
-    assert all(e.in_sl and not e.in_gl for e in padded)
+    padded = [w for w in menu5 if w.padded]
+    assert any(str(w.kind) == "G1(5,4)" for w in padded)
+    assert all(w.claims_sl for w in padded)
+    # a pad is offered for SL only: the GL report lists none
+    assert not any(line.padded for line in verify_case(5, 5, Z).witnesses)
+    assert "G1(5,4)+pad" in [line.kind for line in verify_case(5, 5, Z, sl=True).witnesses]
 
 
 def test_witness_menu_q8_needs_i():
-    kinds_z = [str(e.embedding.kind) for e in witness_menu(2, 2, Z)]
+    kinds_z = [str(w.kind) for w in witness_menu(2, 2, Z)]
     assert "Q8" not in kinds_z
-    kinds_zi = [str(e.embedding.kind) for e in witness_menu(2, 2, Cyclotomic(4))]
+    kinds_zi = [str(w.kind) for w in witness_menu(2, 2, Cyclotomic(4))]
     assert "Q8" in kinds_zi
 
 
 def test_witness_menu_monomial_over_cyclotomic():
     menu = witness_menu(3, 3, Cyclotomic(3))
-    kinds = [str(e.embedding.kind) for e in menu]
+    kinds = [str(w.kind) for w in menu]
     assert "E(3,1)" in kinds and "G1(3,2)" in kinds
-    e31 = next(e.embedding for e in menu if str(e.embedding.kind) == "E(3,1)")
+    e31 = next(w for w in menu if str(w.kind) == "E(3,1)")
     assert e31.dimension == 3  # monomial form, not the blown-up integral form
 
 
@@ -346,10 +350,10 @@ def test_menu_verification_searches_no_order(monkeypatch):
     kinds = set()
     for p in (2, 3, 5, 7):
         for ring in (Z, Cyclotomic(p), Cyclotomic(4)):
-            for entry in witness_menu(p, 12, ring):
-                vw = verify_embedding(entry.embedding)
-                assert vw.ok, f"{entry.embedding} failed: {vw.summary()}"
-                kinds.add(str(entry.embedding.kind))
+            for w in witness_menu(p, 12, ring):
+                vw = verify_embedding(w)
+                assert vw.ok, f"{w} failed: {vw.summary()}"
+                kinds.add(str(w.kind))
     assert {"Q8", "D8", "E(2,3)", "E(3,2)", "E(7,1)", "G1(7,6)"} <= kinds
 
 
@@ -407,7 +411,7 @@ def test_warm_menu_does_no_matrix_work(monkeypatch):
     products = _count_calls(monkeypatch, CycMatrix, "__mul__")
     dets = _count_calls(monkeypatch, witness, "det")
     menu = witness_menu(7, 7, Z)
-    assert any(e.embedding.padded for e in menu)
+    assert any(w.padded for w in menu)
     assert products == [] and dets == []
 
 
@@ -416,7 +420,7 @@ def test_ring_independent_witnesses_built_once():
     # Z and over Q(zeta_8) share one built embedding (and pad) per kind
     def e2(ring):
         menu = witness_menu(2, 4, ring)
-        return [e.embedding for e in menu if e.embedding.kind.family != "Q8"]
+        return [w for w in menu if w.kind.family != "Q8"]
 
     over_z, over_8 = e2(Z), e2(parse_ring("cyclotomic:8"))
     assert len(over_z) == len(over_8) == 3  # D8, its pad, E(2,2)
