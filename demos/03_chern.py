@@ -37,7 +37,8 @@ print("  n_upper:", n_upper(e))
 
 print()
 print("identity matrices impose no constraint at all:")
-print("  n_upper(I_3 at p=3):", n_upper(eigen_exponents(CycMatrix.identity(3), 3)))
+nu = n_upper(eigen_exponents(CycMatrix.identity(3), 3))  # 0: every n divides it
+print("  n_upper(I_3 at p=3):", "no constraint" if nu == 0 else nu)
 
 print()
 print("scanning all 13 order-3 subgroups of the order-27 witness:")

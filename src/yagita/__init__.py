@@ -12,7 +12,6 @@ from .chern import (
     EigenExponents,
     eigen_exponents,
     n_upper,
-    rationality_check,
     total_chern,
 )
 from .cyclo import CycNum, cyclotomic_poly, zeta
@@ -41,7 +40,6 @@ from .formulas import (
     yagita_sl_Z,
 )
 from .fppoly import (
-    INFINITY,
     FpPoly,
     Prop6Verdict,
     check_prop6,

@@ -7,6 +7,8 @@ steps linear in p (no polynomial factorization).  The total Chern class of
 the corresponding representation of the cyclic group is then the product of
 (1 + a*x)^(multiplicity of a) over F_p, and the gcd of its exponents is an
 upper-bound divisor for how deep the restricted cohomology image can sit.
+That gcd is an exact integer; it is 0 only for the identity, whose constant
+class imposes no constraint.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from fractions import Fraction
 
 from .cyclo import CycNum
 from .exactmat import CycMatrix
-from .fppoly import INFINITY, FpPoly
+from .fppoly import FpPoly
 from .numutil import euler_phi, is_prime, ramanujan_sum
 
 
@@ -97,19 +99,10 @@ def total_chern(e: EigenExponents) -> FpPoly:
     return f
 
 
-def n_upper(e: EigenExponents):
+def n_upper(e: EigenExponents) -> int:
     """Exponent gcd of the total Chern class of an order-p matrix with these
     eigen exponents: every group mapping into the ambient general linear
     group and containing that element has its depth invariant n(C) dividing
-    this value.  INFINITY for a trivially acting element (no constraint)."""
+    this value.  0 for a trivially acting element, which every n divides
+    (no constraint)."""
     return total_chern(e).exponent_gcd()
-
-
-def rationality_check(m: CycMatrix, p: int, l: int) -> bool:
-    """Whether the total Chern class is a polynomial in x**l, as it must be
-    for an order-p element arising over a field with [F(zeta_p):F] = l."""
-    g = n_upper(eigen_exponents(m, p))
-    if g == INFINITY:
-        return True
-    return g % l == 0
-

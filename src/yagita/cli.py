@@ -18,7 +18,7 @@ import sys
 from .chern import eigen_exponents, n_upper, total_chern
 from .cyclo import json_int
 from .exactmat import MAX_MATRIX_SIZE, CapExceededError, CycMatrix
-from .fppoly import INFINITY, check_prop6, parse_fp_poly, random_unit_root_product
+from .fppoly import check_prop6, parse_fp_poly, random_unit_root_product
 from .formulas import yagita_gl, yagita_sl
 from .harness import exit_code, report_to_json, table, table_tsv, verify_case
 from .numutil import MAX_PRIME, euler_phi, is_prime
@@ -142,7 +142,7 @@ def _cmd_chern(args) -> int:
     exps = eigen_exponents(m, p)
     tc = total_chern(exps)
     nu = n_upper(exps)
-    nu_text = "infinity" if nu == INFINITY else str(int(nu))
+    nu_text = "infinity" if nu == 0 else str(nu)
     if args.json:
         print(
             json.dumps(

@@ -119,7 +119,9 @@ class CycMatrix:
         n = len(entries)
         if n == 0 or any(len(row) != n for row in entries):
             raise ValueError("matrix must be square and nonempty")
-        cond = conductor or 1
+        cond = 1 if conductor is None else conductor
+        if cond < 1:
+            raise ValueError(f"conductor {cond} is not positive")
         for row in entries:
             for x in row:
                 cond = math.lcm(cond, x.conductor)

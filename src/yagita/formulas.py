@@ -44,8 +44,11 @@ class SlResult:
 
 
 def psi(t, p: int) -> int:
-    """Greatest integer power of p that is <= t, for a rational t >= 1:
-    only the floor of t matters, so the comparisons are on integers."""
+    """Greatest integer power of p that is <= t, for a prime p and a
+    rational t >= 1: only the floor of t matters, so the comparisons are on
+    integers."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     t = math.floor(t)
     if t < 1:
         raise ValueError("psi wants t >= 1")

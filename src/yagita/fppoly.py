@@ -8,8 +8,8 @@ the unit group F_p^x by trial division.
 
 A polynomial is stored densely: ``coeffs[i]`` is the coefficient of x^i,
 reduced mod p, with no trailing zeros.  The zero polynomial has an empty
-coefficient tuple.  The degree gcd of a constant polynomial is ``INFINITY``
-(a genuinely distinct value, not a sentinel integer): a constant imposes no
+coefficient tuple.  The exponent gcd of a constant polynomial is 0, the
+gcd of no exponents, which every n divides: a constant imposes no
 constraint at all.
 """
 
@@ -21,8 +21,6 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .numutil import MAX_N, is_prime, power
-
-INFINITY = math.inf
 
 _TERM_RE = re.compile(r"^\s*([+-]?\d+|[+-])?\s*\*?\s*(x(?:\^(\d+))?)?\s*$")
 
@@ -150,17 +148,18 @@ class FpPoly:
             out[i * k] = c
         return FpPoly(self.p, out)
 
-    def exponent_gcd(self):
-        """Gcd of the exponents of the nonconstant terms; INFINITY for constants.
+    def exponent_gcd(self) -> int:
+        """Gcd of the exponents of the nonconstant terms; 0 for constants.
 
-        This is the largest n such that the polynomial can be written as a
-        polynomial in x^n (unbounded for constants, whence INFINITY).
+        For a nonconstant polynomial this is the largest n such that it can
+        be written as a polynomial in x^n.  A constant is a polynomial in
+        x^n for every n, and 0 is the one value every n divides.
         """
         g = 0
         for i, c in enumerate(self.coeffs):
             if i and c:
                 g = math.gcd(g, i)
-        return g if g else INFINITY
+        return g
 
     def all_roots_in_units(self) -> tuple[bool, Counter]:
         """Strip every root in F_p^x by trial division.
@@ -243,13 +242,13 @@ def check_prop6(f: FpPoly) -> Prop6Verdict:
     if not ok:
         raise ValueError("polynomial has roots outside F_p^x")
     n = f.exponent_gcd()
-    m, q = mp_q_decompose(int(n), f.p)
+    m, q = mp_q_decompose(n, f.p)
     if (f.p - 1) % m:
         raise ArithmeticError(
             f"exponent gcd {n} = {m}*{f.p}^{q} with {m} not dividing {f.p - 1}; "
             "this indicates an arithmetic bug"
         )
-    return Prop6Verdict(int(n), m, q)
+    return Prop6Verdict(n, m, q)
 
 
 def random_unit_root_product(p: int, rng, max_factors: int = 10) -> FpPoly:

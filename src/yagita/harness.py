@@ -5,7 +5,8 @@ menu of witness groups fitting in dimension n, verifies each one by closure
 enumeration, and certifies a lower bound as the lcm of the known invariants
 of the witnesses that actually verified.  It also runs the Chern-class
 consistency checks, from traces read off permutations, on every order-p
-cyclic subgroup of every verified witness.  The verdict is
+cyclic subgroup of every verified witness; each Chern bound there is a
+positive integer.  The verdict is
 
 * ``Pass``              -- certified lower bound equals the formula value;
 * ``PassWithAmbiguity`` -- the SL formula is only pinned up to a factor of 2
@@ -36,7 +37,7 @@ from json.encoder import encode_basestring_ascii
 
 from .chern import exponents_from_trace, n_upper
 from .exactmat import MatrixGroup, order_p_cyclic_subgroups
-from .fppoly import INFINITY, mp_q_decompose
+from .fppoly import mp_q_decompose
 from .formulas import yagita_gl, yagita_sl, yagita_sl_Z
 from .numutil import MAX_N, MAX_PRIME, is_prime
 from .ringspec import RingSpec, compute_l, is_rational_integers
@@ -79,24 +80,29 @@ def _check(w: WitnessEmbedding, p: int) -> _Checked:
 
 def _chern_scan(group: MatrixGroup, p: int) -> tuple:
     """Per order-p cyclic subgroup of the group: the Chern divisor bound,
-    its m * p^q decomposition, and whether m divides p - 1."""
+    its m * p^q decomposition, and whether m divides p - 1.
+
+    Each representative is an element of order p of a group of matrices,
+    so it has an eigenvalue zeta_p**a with a != 0 and a nonconstant total
+    Chern class: a bound of 0 can only mean an arithmetic bug."""
     rows = []
     # the scan has proved x**p = 1 for each representative
     for idx, x in enumerate(order_p_cyclic_subgroups(group, p)):
         nu = n_upper(exponents_from_trace(group.trace(x), group.size, p))
-        if nu == INFINITY:
-            rows.append((idx, "infinity", "infinity", "infinity", True))
-        else:
-            m_part, q_part = mp_q_decompose(int(nu), p)
-            rows.append((idx, int(nu), m_part, q_part, (p - 1) % m_part == 0))
+        if not nu:
+            raise ArithmeticError(
+                f"order-{p} subgroup {idx} has a constant total Chern class; arithmetic bug"
+            )
+        m_part, q_part = mp_q_decompose(nu, p)
+        rows.append((idx, nu, m_part, q_part, (p - 1) % m_part == 0))
     return tuple(rows)
 
 
 def yagita_upper_witness(group: MatrixGroup, p: int) -> int:
-    """Lcm of 2 * n_upper over the order-p cyclic subgroups, skipping the
-    infinite ones (1 if none): an upper-bound divisor for the Yagita
-    invariant of any group factoring through this matrix group."""
-    return math.lcm(*(2 * nu for _, nu, *_ in _chern_scan(group, p) if nu != "infinity"))
+    """Lcm of 2 * n_upper over the order-p cyclic subgroups (1 if none): an
+    upper-bound divisor for the Yagita invariant of any group factoring
+    through this matrix group."""
+    return math.lcm(*(2 * nu for _, nu, *_ in _chern_scan(group, p)))
 
 
 @dataclass(frozen=True)
@@ -114,9 +120,9 @@ class WitnessLine:
 class ChernLine:
     witness: str
     subgroup: int
-    n_upper: object  # int, or "infinity" for a trivially acting element
-    m: object
-    q: object
+    n_upper: int
+    m: int
+    q: int
     rationality_ok: bool
     divides_formula: bool
 
@@ -177,8 +183,8 @@ def verify_case(p: int, n: int, ring: RingSpec, sl: bool = False) -> Verificatio
             continue
         certified = math.lcm(certified, w.expected_yagita)
         for idx, nu, m_part, q_part, prop_ok in checked.chern_rows:
-            rat_ok = nu == "infinity" or nu % l_w == 0
-            divides = nu == "infinity" or gl_value % (2 * nu) == 0
+            rat_ok = nu % l_w == 0
+            divides = gl_value % (2 * nu) == 0
             if not (prop_ok and rat_ok and divides):
                 hard_fail = True
             chern_lines.append(
@@ -269,7 +275,8 @@ def _emit(obj, out: list, pad: str) -> None:
     """Append the JSON text of a report or a part of one, indented by pad,
     to out: records become objects with sorted keys, tuples lists and
     integers decimal strings; the pieces are those json.dumps(indent=2,
-    sort_keys=True) writes.  Any float but infinity raises TypeError."""
+    sort_keys=True) writes.  Anything else, a float included, raises
+    TypeError."""
     if isinstance(obj, str):
         out.append(encode_basestring_ascii(obj))
     elif isinstance(obj, bool):
@@ -295,10 +302,6 @@ def _emit(obj, out: list, pad: str) -> None:
             sep = ",\n" + inner
             _emit(v, out, inner)
         out.append("\n" + pad + "]")
-    elif isinstance(obj, float):
-        if not math.isinf(obj):
-            raise TypeError("no inexact numbers belong in a report")
-        out.append('"infinity"')
     else:
         raise TypeError(f"no {type(obj).__name__} belongs in a report")
 

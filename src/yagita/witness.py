@@ -95,16 +95,22 @@ def parse_kind(text: str) -> WitnessKind:
 class WitnessEmbedding:
     kind: WitnessKind
     ring: RingSpec
-    dimension: int
     generators: tuple[CycMatrix, ...]
     expected_order: int
-    expected_yagita: int
     claims_sl: bool
     relators: tuple[Word, ...]
     # (i, j, S): require gens[i] @ gens[j] == S @ gens[j] @ gens[i]
     central_commutations: tuple[tuple[int, int, CycMatrix], ...] = ()
     expected_center: int = 1
     padded: bool = False
+
+    @property
+    def dimension(self) -> int:
+        return self.generators[0].size
+
+    @property
+    def expected_yagita(self) -> int:
+        return oracle_yagita(self.kind)
 
     def __str__(self) -> str:
         pad = "+pad" if self.padded else ""
@@ -201,7 +207,6 @@ def build_g1(p: int, m: int, ring: RingSpec) -> WitnessEmbedding:
         # exponents through g^0, g^1, ..., g^(m-1)
         a = CycMatrix.diagonal([zeta(p, pow(g, i, p)) for i in range(m)])
         b = _shift_matrix(m, -1)
-    kind = WitnessKind("G1", p, m)
     relators: tuple[Word, ...] = (
         (((0, p),)),
         (((1, m),)),
@@ -209,12 +214,10 @@ def build_g1(p: int, m: int, ring: RingSpec) -> WitnessEmbedding:
     )
     claims_sl = det(a) == 1 and det(b) == 1
     return WitnessEmbedding(
-        kind=kind,
+        kind=WitnessKind("G1", p, m),
         ring=ring,
-        dimension=dim,
         generators=(a, b),
         expected_order=p * m,
-        expected_yagita=oracle_yagita(kind),
         claims_sl=claims_sl,
         relators=relators,
         expected_center=1,
@@ -245,19 +248,16 @@ def build_g2(p: int, m: int, ring: RingSpec) -> WitnessEmbedding:
         raise WitnessError("chosen root of -1 does not certify order 2m")
     c = mu * b
     g = _least_unit_of_order(p, m)
-    kind = WitnessKind("G2", p, m)
     relators: tuple[Word, ...] = (
         (((0, p),)),
         (((1, 2 * m),)),
         ((1, 1), (0, 1), (1, -1), (0, -g)),
     )
     return WitnessEmbedding(
-        kind=kind,
+        kind=WitnessKind("G2", p, m),
         ring=ring,
-        dimension=n,
         generators=(a, c),
         expected_order=2 * p * m,
-        expected_yagita=oracle_yagita(kind),
         claims_sl=True,
         relators=relators,
         expected_center=2,
@@ -284,7 +284,6 @@ def sl_pad(w: WitnessEmbedding) -> WitnessEmbedding:
     )
     return replace(
         w,
-        dimension=w.dimension + 1,
         generators=new_gens,
         claims_sl=True,
         central_commutations=new_central,
@@ -330,14 +329,11 @@ def _tensor_extraspecial(
                 relators.append(_commutator_word(i, m + j))  # X_i with Z_j
     scalar = c * CycMatrix.identity(p**m, eye.conductor)
     central = tuple((m + i, i, scalar) for i in range(m))
-    kind = WitnessKind("E", p, m)
     return WitnessEmbedding(
-        kind=kind,
+        kind=WitnessKind("E", p, m),
         ring=ring,
-        dimension=p**m,
         generators=gens,
         expected_order=p ** (2 * m + 1),
-        expected_yagita=oracle_yagita(kind),
         claims_sl=True,
         relators=tuple(relators),
         central_commutations=central,
@@ -398,7 +394,6 @@ def blow_up(w: WitnessEmbedding) -> WitnessEmbedding:
     return replace(
         w,
         ring=RationalIntegers(),
-        dimension=(p - 1) * w.dimension,
         generators=new_gens,
         central_commutations=new_central,
         claims_sl=True,
@@ -422,14 +417,11 @@ def build_e2m_integer(m: int) -> WitnessEmbedding:
     if m == 1:
         j = CycMatrix([[0, -1], [1, 0]])
         d = CycMatrix([[1, 0], [0, -1]])
-        kind = WitnessKind("D8", 2, 1)
         return WitnessEmbedding(
-            kind=kind,
+            kind=WitnessKind("D8", 2, 1),
             ring=RationalIntegers(),
-            dimension=2,
             generators=(j, d),
             expected_order=8,
-            expected_yagita=oracle_yagita(kind),
             claims_sl=False,
             relators=(((0, 4),), ((1, 2),), ((1, 1), (0, 1), (1, -1), (0, 1))),
             expected_center=2,
@@ -445,14 +437,11 @@ def build_q8() -> WitnessEmbedding:
     i4 = zeta(4)
     a = CycMatrix([[i4, 0], [0, -i4]])
     b = CycMatrix([[0, -1], [1, 0]])
-    kind = WitnessKind("Q8", 2, 1)
     return WitnessEmbedding(
-        kind=kind,
+        kind=WitnessKind("Q8", 2, 1),
         ring=Cyclotomic(4),
-        dimension=2,
         generators=(a, b),
         expected_order=8,
-        expected_yagita=oracle_yagita(kind),
         claims_sl=True,
         relators=(
             ((0, 4),),

@@ -113,6 +113,26 @@ def test_chern_subcommand(tmp_path, capsys):
     assert blob["n_upper"] == "2"
 
 
+def test_chern_identity_has_no_constraint(tmp_path, capsys):
+    # the identity's total Chern class is the constant 1, whose exponent
+    # gcd 0 constrains nothing: chern writes it as the word infinity
+    f = tmp_path / "identity1.json"
+    entry = {"conductor": 1, "num": [1], "den": 1}
+    f.write_text(json.dumps({"conductor": 1, "entries": [[entry]]}))
+    argv = ("chern", "--matrix-file", str(f), "--prime", "3")
+    assert run(capsys, *argv) == (
+        0,
+        "exponent multiplicities: {0: 1}\n"
+        "total Chern class: 1 (mod 3)\n"
+        "n_upper: infinity\n",
+    )
+    assert run(capsys, *argv, "--json") == (
+        0,
+        '{\n  "exponents": {\n    "0": "1"\n  },\n'
+        '  "n_upper": "infinity",\n  "total_chern": "1 (mod 3)"\n}\n',
+    )
+
+
 def test_chern_computes_eigen_exponents_once(tmp_path, capsys, monkeypatch):
     import yagita.chern
     import yagita.cli

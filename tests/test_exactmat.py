@@ -623,6 +623,18 @@ def test_matrix_json_round_trip():
     assert CycMatrix.from_json(json.loads(blob)) == m
 
 
+@pytest.mark.parametrize("conductor", [0, -7])
+def test_matrix_json_rejects_nonpositive_conductor(conductor):
+    # only a missing conductor means 1
+    entry = {"conductor": 1, "num": [1], "den": 1}
+    obj = {"conductor": conductor, "entries": [[entry]]}
+    with pytest.raises(ValueError, match=f"conductor {conductor} is not positive"):
+        CycMatrix.from_json(obj)
+    with pytest.raises(ValueError, match=f"conductor {conductor} is not positive"):
+        CycMatrix([[1]], conductor)
+    assert CycMatrix([[1]], None) == CycMatrix([[1]], 1) == CycMatrix.identity(1)
+
+
 def test_mixed_conductor_entries_unify():
     m = CycMatrix([[zeta(3), 1], [zeta(4), 0]])
     assert m.conductor == 12

@@ -1,6 +1,10 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -137,6 +141,29 @@ def test_psi():
     assert psi(Fraction(9, 2), 3) == 3
     with pytest.raises(ValueError):
         psi(Fraction(1, 2), 3)
+    with pytest.raises(ValueError, match="4 is not prime"):
+        psi(5, 4)
+
+
+def test_psi_rejects_p_below_2():
+    # the calls run in a child process under a timeout, so that a loop at
+    # p <= 1 fails the test instead of stalling it
+    code = (
+        "from yagita.formulas import psi\n"
+        "for p in (1, 0, -2):\n"
+        "    try:\n"
+        "        psi(5, p)\n"
+        "    except ValueError as exc:\n"
+        "        assert str(exc) == f'{p} is not prime', exc\n"
+        "    else:\n"
+        "        raise SystemExit(f'psi(5, {p}) returned')\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, timeout=10, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_yagita_gl_examples():

@@ -7,7 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from yagita.fppoly import (
-    INFINITY,
     FpPoly,
     check_prop6,
     mp_q_decompose,
@@ -36,8 +35,9 @@ def test_multiply_matches_schoolbook():
 def test_exponent_gcd():
     assert FpPoly(3, (1, 0, 2)).exponent_gcd() == 2
     assert FpPoly(5, (1, 1)).exponent_gcd() == 1
-    assert FpPoly(7, (1,)).exponent_gcd() == INFINITY
-    assert FpPoly(3, (0,)).exponent_gcd() == INFINITY  # zero polynomial
+    assert FpPoly(7, (1,)).exponent_gcd() == 0  # every n divides 0: no constraint
+    assert FpPoly(3, (0,)).exponent_gcd() == 0  # zero polynomial
+    assert type(FpPoly(7, (1,)).exponent_gcd()) is int
     assert FpPoly(3, (1, 0, 0, 1, 0, 0, 1)).exponent_gcd() == 3
 
 
@@ -179,10 +179,7 @@ def test_frobenius(f):
 def test_exponent_gcd_scaling(f, k):
     g = f.compose_xk(k)
     ef, eg = f.exponent_gcd(), g.exponent_gcd()
-    if ef == INFINITY:
-        assert eg == INFINITY
-    else:
-        assert eg == k * ef
+    assert eg == k * ef  # 0 for a constant f, and then for g too
 
 
 @given(fp_polys(), fp_polys())
@@ -192,9 +189,10 @@ def test_exponent_gcd_of_products(f, g):
         return
     ef, eg = f.exponent_gcd(), g.exponent_gcd()
     e = (f * g).exponent_gcd()
-    if ef == INFINITY or eg == INFINITY or e == INFINITY:
-        return
-    assert e % math.gcd(int(ef), int(eg)) == 0
+    if e == 0:  # a constant product has constant factors
+        assert ef == eg == 0
+    else:  # a constant factor's 0 leaves the other factor's gcd
+        assert e % math.gcd(ef, eg) == 0
 
 
 def test_evaluate():

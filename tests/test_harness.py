@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from yagita import exactmat, harness, witness
+from yagita.chern import EigenExponents
 from yagita.exactmat import CycMatrix, order_p_cyclic_subgroups
-from yagita.fppoly import INFINITY
 from yagita.harness import (
     FAIL,
     INCOMPLETE,
@@ -25,7 +25,7 @@ from yagita.harness import (
     table_tsv,
     verify_case,
 )
-from yagita.ringspec import Cyclotomic, QuadraticOrder, RationalIntegers
+from yagita.ringspec import Cyclotomic, QuadraticOrder, RationalIntegers, parse_ring
 from yagita.witness import witness_menu
 
 Z = RationalIntegers()
@@ -112,14 +112,18 @@ def _oracle(obj):
     if dataclasses.is_dataclass(obj):
         return {f.name: _oracle(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, float):
-        if math.isinf(obj):
-            return "infinity"
-        raise TypeError("no inexact numbers belong in a report")
+        raise TypeError("no float belongs in a report")
     return obj
 
 
 def _assert_matches_oracle(report):
-    want = _oracle(report)
+    try:
+        want = _oracle(report)
+    except TypeError:  # a float, infinity included, has no report text
+        for write in (report_to_json, report_to_dict):
+            with pytest.raises(TypeError, match="no float belongs"):
+                write(report)
+        return
     assert report_to_json(report) == json.dumps(want, indent=2, sort_keys=True)
     assert report_to_dict(report) == want
 
@@ -133,14 +137,17 @@ def test_report_json_matches_json_dumps():
     ]
     assert [r.verdict for r in reports] == [PASS, PASS, PASS_WITH_AMBIGUITY, INCOMPLETE]
     assert reports[-1].witnesses == () and reports[-1].chern_consistency == ()
-    # a trivially acting element's Chern line carries INFINITY
+    # a Chern bound is an integer: a float infinity in its place has no
+    # report text
     r = reports[0]
     lines = tuple(
-        dataclasses.replace(c, n_upper=INFINITY, m=INFINITY, q="infinity")
+        dataclasses.replace(c, n_upper=math.inf, m=math.inf, q="infinity")
         for c in r.chern_consistency
     )
     reports.append(dataclasses.replace(r, chern_consistency=lines))
-    assert lines and '"n_upper": "infinity"' in report_to_json(reports[-1])
+    assert lines
+    with pytest.raises(TypeError, match="no float belongs"):
+        report_to_json(reports[-1])
     for report in reports:
         _assert_matches_oracle(report)
 
@@ -150,8 +157,7 @@ _scalar = st.one_of(
     _text,
     st.booleans(),
     st.integers(-(10**30), 10**30),
-    st.sampled_from([10**30, -(10**30), 0, -1]),
-    st.just(INFINITY),
+    st.sampled_from([10**30, -(10**30), 0, -1, math.inf]),
     st.just(()),
 )
 
@@ -173,7 +179,7 @@ def test_report_json_matches_json_dumps_on_built_reports(report):
     _assert_matches_oracle(report)
 
 
-@pytest.mark.parametrize("x", [1.5, 0.0, -2.0, math.nan])
+@pytest.mark.parametrize("x", [1.5, 0.0, -2.0, math.nan, math.inf])
 def test_report_json_rejects_inexact_numbers(x):
     r = verify_case(3, 2, Z)
     line = dataclasses.replace(r.chern_consistency[0], m=x)
@@ -182,9 +188,41 @@ def test_report_json_rejects_inexact_numbers(x):
         dataclasses.replace(r, chern_consistency=(line,)),
     )
     for bad in bad_reports:
-        for write in (report_to_json, report_to_dict):
-            with pytest.raises(TypeError, match="inexact"):
+        for write in (report_to_json, report_to_dict, _oracle):
+            with pytest.raises(TypeError, match="no float belongs"):
                 write(bad)
+
+
+def test_constant_chern_class_raises(monkeypatch):
+    # an engine that read a representative as the identity would give the
+    # bound 0 (a constant class); that raises instead of becoming a row
+    def identity_multiplicities(t, n, p):
+        return EigenExponents(p, (n,) + (0,) * (p - 1))
+
+    monkeypatch.setattr(harness, "exponents_from_trace", identity_multiplicities)
+    monkeypatch.setattr(harness, "_checked", {})
+    with pytest.raises(ArithmeticError, match="constant total Chern class"):
+        verify_case(3, 6, Z)
+
+
+# the coverage grid: p in {2, 3, 5, 7}, ten rings, n <= 10, GL and SL
+GRID_RINGS = (
+    "Z", "Z[i]", "cyclotomic:{p}", "cyclotomic:3", "quadratic:-3", "quadratic:5",
+    "quadratic:-7", "subcyclotomic:5:2", "subcyclotomic:7:2", "subcyclotomic:7:3",
+)
+
+
+def test_every_chern_bound_on_the_grid_is_a_positive_int():
+    rows = 0
+    for p in (2, 3, 5, 7):
+        for text in GRID_RINGS:
+            ring = parse_ring(text.format(p=4 if p == 2 else p))
+            for n in range(1, 11):
+                for sl in (False, True) if n >= 2 else (False,):
+                    for c in verify_case(p, n, ring, sl=sl).chern_consistency:
+                        assert type(c.n_upper) is int and c.n_upper >= 1, (p, n, text, sl)
+                        rows += 1
+    assert rows > 10_000
 
 
 def test_table_p2():
