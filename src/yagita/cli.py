@@ -14,6 +14,7 @@ import json
 import math
 import random
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .chern import eigen_exponents, n_upper, total_chern
 from .cyclo import json_int
@@ -202,6 +203,12 @@ def _cmd_table(args) -> int:
     return 0
 
 
+_PROP6_ROW = (
+    '  {{\n    "poly": {},\n    "gcd": "{}",\n    "m": "{}",\n    "q": "{}",\n'
+    '    "holds": true\n  }}'
+)
+
+
 def _cmd_prop6(args) -> int:
     p = _check_prime(args.prime)
     results = []
@@ -222,21 +229,12 @@ def _cmd_prop6(args) -> int:
     # check_prop6 raises on a failed decomposition (exit 1), so every
     # verdict that reaches this point holds
     if args.json:
-        print(
-            json.dumps(
-                [
-                    {
-                        "poly": text,
-                        "gcd": str(v.gcd),
-                        "m": str(v.m),
-                        "q": str(v.q),
-                        "holds": True,
-                    }
-                    for text, v in results
-                ],
-                indent=2,
-            )
+        # the bytes of json.dumps(rows, indent=2), one template per row
+        rows = (
+            _PROP6_ROW.format(encode_basestring_ascii(text), v.gcd, v.m, v.q)
+            for text, v in results
         )
+        print("[\n" + ",\n".join(rows) + "\n]")
     else:
         for text, v in results:
             print(f"{text}: gcd={v.gcd} m={v.m} q={v.q} holds=True")

@@ -112,18 +112,20 @@ def _zeta_power(n: int, e: int) -> tuple[int, ...]:
 def _mul_into(acc: list[int], an, bn) -> None:
     """Add the coordinate product of an and bn into acc, unreduced:
     ``an[i] * bn[j]`` goes to ``acc[i + j]``, so acc needs length
-    len(an) + len(bn) - 1.  Zero coordinates are skipped.
+    len(an) + len(bn) - 1.  Only nonzero coordinates meet: those of bn are
+    listed once, so a sparse number (a root of unity, say) costs one
+    product per nonzero coordinate of the other, whatever the conductor.
     ``CycNum.__mul__`` and the matrix-vector images of ``exactmat`` multiply
     numbers through this one routine; a matrix product packs its entries
     into integers instead."""
     if len(an) == 1 == len(bn):  # two rationals
         acc[0] += an[0] * bn[0]
         return
+    terms = [(k, y) for k, y in enumerate(bn) if y]
     for i, x in enumerate(an):
         if x:
-            for k, y in enumerate(bn, i):
-                if y:
-                    acc[k] += x * y
+            for k, y in terms:
+                acc[i + k] += x * y
 
 
 def _sum_of_products(conductor: int, pairs) -> CycNum:
@@ -163,10 +165,11 @@ class CycNum:
     def __init__(self, conductor: int, coeffs, den: int = 1):
         if conductor < 1:
             raise ValueError("conductor must be >= 1")
+        den = operator.index(den)
         if den == 0:
             raise ZeroDivisionError("zero denominator")
         deg = euler_phi(conductor)
-        cs = [int(c) for c in coeffs]
+        cs = list(map(operator.index, coeffs))
         if len(cs) > conductor:
             cs = _fold(cs, conductor)
         if len(cs) > deg:
@@ -188,6 +191,17 @@ class CycNum:
         raise AttributeError("CycNum is immutable")
 
     # -- constructors -------------------------------------------------------
+
+    @classmethod
+    def _of(cls, conductor: int, num: tuple, den: int) -> CycNum:
+        """The number num / den, trusted as it is: num holds phi(conductor)
+        coordinates, already reduced, and den > 0 is in lowest terms with
+        them."""
+        x = object.__new__(cls)
+        object.__setattr__(x, "conductor", conductor)
+        object.__setattr__(x, "num", num)
+        object.__setattr__(x, "den", den)
+        return x
 
     @classmethod
     def rational(cls, value) -> CycNum:

@@ -6,9 +6,16 @@ entries only, with their columns, all over one shared conductor; that form
 is canonical, so equality is purely structural, and every kernel touches
 stored entries only.  A product packs every stored entry of each operand,
 once, into one integer (Kronecker substitution: coordinate i at bit i*w,
-over one denominator per matrix, w wide enough for every coordinate of a
-product entry), so each entry (i, j) is a sum of integer products; it is
-unpacked once and reduced modulo the cyclotomic polynomial once.
+over one denominator per matrix, w whole bytes wide enough for every
+coordinate of a product entry, rounded up to 8, 16, 32 or 64 bits when
+it fits in 64), so each entry (i, j) is a sum of integer products.  The
+sums of a row are read back together: each is written as two's
+complement w-bit slots, one cast reads all the slots of the row as
+machine integers, and the row's entries are reduced modulo the
+cyclotomic polynomial together, one map per coordinate column.  A dense
+14x14 product over Q(zeta_13) takes about 2 ms, a dense 16x16 integer
+product about 1 ms and a dense 16x16 product over Q(zeta_101) about
+50 ms on a 2-core machine.
 The determinant is Gaussian elimination on the stored rows, which inverts
 a pivot only when there is something below it to eliminate.
 A finite group of n x n matrices acts faithfully on Omega, the orbit of
@@ -20,12 +27,21 @@ group computation reads (traces too); a matrix is rebuilt only on request.
 from __future__ import annotations
 
 import math
+import operator
+import sys
+from array import array
+from itertools import chain, repeat
 
-from .cyclo import CycNum, _sum_of_products, json_int
+from .cyclo import CycNum, _sum_of_products, cyclotomic_poly, json_int
 from .numutil import euler_phi, power
 
 DEFAULT_CAP = 10**6
 MAX_MATRIX_SIZE = 64
+# array and memoryview codes of the signed machine integers, by width in
+# bytes, that read packed coordinate slots; a packed string is in the
+# machine's byte order
+_SIGNED = {array(code).itemsize: code for code in "bhiq"}
+_ORDER = sys.byteorder
 
 
 class CapExceededError(RuntimeError):
@@ -47,64 +63,128 @@ def _row(pairs) -> tuple:
     return tuple((j, x) for j, x in pairs if not x.is_zero)
 
 
-def _scale(m: CycMatrix) -> tuple[int, int]:
-    """(d, t): the lcm d of the stored entries' denominators, and the
-    largest absolute coordinate t of d * x over the stored entries x."""
+def _scale(m: CycMatrix) -> tuple[int, list[int], int]:
+    """(d, coords, t): the lcm d of the stored entries' denominators, the
+    coordinates of d * x over the stored entries x in storage order, and
+    the largest absolute value t among them."""
     xs = [x for row in m.nonzero for _, x in row]
     d = math.lcm(*(x.den for x in xs))
-    return d, max([max(map(abs, x.num)) * (d // x.den) for x in xs], default=0)
+    coords = list(chain.from_iterable(
+        x.num if x.den == d else [c * (d // x.den) for c in x.num] for x in xs
+    ))
+    return d, coords, max(max(coords), -min(coords)) if coords else 0
 
 
-def _slot_width(bound: int) -> int:
-    """Bits per coordinate slot, a whole number of bytes, holding every
-    integer of absolute value at most bound (sign included).  An entry of a
-    product of n x n matrices over conductor N sums at most n * phi(N)
-    coordinate products, so n * phi(N) * t_a * t_b (or an operand's own
-    t, when the other stores nothing) bounds its every coordinate."""
-    return 8 * (bound.bit_length() // 8 + 1)
+def _slot_bytes(bound: int) -> int:
+    """Bytes per coordinate slot, holding every integer of absolute value
+    at most bound (sign included): 1, 2, 4 or 8 when that is enough, so
+    that a machine integer reads each slot.  An entry of a product of
+    n x n matrices over conductor N sums at most n * phi(N) coordinate
+    products, so n * phi(N) * t_a * t_b (or an operand's own t, when the
+    other stores nothing) bounds its every coordinate."""
+    nbytes = bound.bit_length() // 8 + 1
+    return next((s for s in _SIGNED if s >= nbytes), nbytes)
 
 
-def _pack(m: CycMatrix, d: int, w: int) -> tuple:
-    """The stored rows of m with each entry x as one integer: the sum of
-    c_i * 2**(i*w) over the coordinates c_i of d * x (signed digits, so a
-    product of two packed entries is their coordinate convolution, packed).
-    Every coordinate of m is written biased by 2**(w-1) into w/8 bytes of
-    one string, and each entry reads its bytes back as one integer and
-    takes the bias off at once."""
-    half, nbytes = 1 << (w - 1), w // 8
+def _bias(nbytes: int, slots: int) -> int:
+    """B: 2**(8*nbytes - 1), the sign bit, in each of slots slots."""
+    return int.from_bytes((1 << (8 * nbytes - 1)).to_bytes(nbytes, "little") * slots, "little")
+
+
+def _pack(m: CycMatrix, coords: list[int], nbytes: int) -> tuple:
+    """The stored rows of m with each entry as one integer: the sum of
+    c_i * 2**(8*i*nbytes) over its coordinates c_i in coords (signed
+    digits, so a product of two packed entries is their coordinate
+    convolution, packed).  All of coords are written as two's complement
+    slots into one string, through one array at a machine width, and each
+    entry reads its slots u as one unsigned integer U: (U ^ B) - B takes
+    each slot u to u, or to u - 2**(8*nbytes) when its sign bit is set."""
     deg = euler_phi(m.conductor)
-    size = deg * nbytes
-    bias = int.from_bytes(half.to_bytes(nbytes, "little") * deg, "little")
-    raw = b"".join([
-        (c * f + half).to_bytes(nbytes, "little")
-        for row in m.nonzero for _, x in row for f in (d // x.den,) for c in x.num
-    ])
+    if nbytes in _SIGNED:
+        raw = array(_SIGNED[nbytes], coords).tobytes()
+    else:
+        raw = b"".join([c.to_bytes(nbytes, _ORDER, signed=True) for c in coords])
+    size, bias = deg * nbytes, _bias(nbytes, deg)
     out, at = [], 0
     for row in m.nonzero:
         packed = []
         for j, _ in row:
-            packed.append((j, int.from_bytes(raw[at:at + size], "little") - bias))
+            packed.append((j, (int.from_bytes(raw[at:at + size], _ORDER) ^ bias) - bias))
             at += size
         out.append(tuple(packed))
     return tuple(out)
 
 
-def _unpacker(conductor: int, w: int, slots: int, d: int):
-    """The function that reads a packed sum of products back as the number
-    over conductor with those coordinates over d.  Every one of the given
-    number of w-bit slots holds a value of absolute value below 2**(w-1),
-    so adding 2**(w-1) to all slots at once leaves each slot's digit in its
-    own w/8 bytes, and one pass over those bytes reads the coordinates."""
-    half, nbytes = 1 << (w - 1), w // 8
-    size = slots * nbytes
-    bias = int.from_bytes(half.to_bytes(nbytes, "little") * slots, "little")
+def _sums(pa: tuple, pb: tuple, n: int):
+    """Yield, row by row, the n packed entries of a * b from the packed
+    stored rows of a and b: entry (i, j) sums x * y over the stored
+    x = a[i, k] and y = b[k, j], one integer product per such pair."""
+    for arow in pa:
+        acc = [0] * n
+        for k, x in arow:
+            for j, y in pb[k]:
+                acc[j] += x * y
+        yield acc
 
-    def unpack(t: int) -> CycNum:
-        raw = (t + bias).to_bytes(size, "little")
-        coords = [int.from_bytes(raw[s:s + nbytes], "little") - half for s in range(0, size, nbytes)]
-        return CycNum(conductor, coords, d)
 
-    return unpack
+def _unpack(rows, conductor: int, nbytes: int, den: int):
+    """Yield the stored row of each list of packed sums over den, numbers
+    over conductor with 2 * phi(conductor) - 1 unreduced coordinates each.
+    Every digit has absolute value below 2**(8*nbytes-1), so t + B leaves
+    each digit of a sum t, plus 2**(8*nbytes-1), in its own slot, and the
+    XOR with B then writes each slot as the two's complement of its
+    digit: the nonzero sums of a row are written into one string, which
+    one cast reads at a machine width.  They are reduced together, put in
+    lowest terms (no gcd when den is 1), and dropped if they reduce to 0."""
+    slots = 2 * euler_phi(conductor) - 1
+    bias, size, code = _bias(nbytes, slots), slots * nbytes, _SIGNED.get(nbytes)
+    for acc in rows:
+        js = [j for j, t in enumerate(acc) if t]
+        if not js:
+            yield ()
+            continue
+        raw = b"".join([((acc[j] + bias) ^ bias).to_bytes(size, _ORDER) for j in js])
+        if code:
+            coords = memoryview(raw).cast(code).tolist()
+        else:
+            coords = [int.from_bytes(raw[s:s + nbytes], _ORDER, signed=True) for s in range(0, len(raw), nbytes)]
+        row = []
+        for j, num in zip(js, _reduce(coords, slots, conductor)):
+            if not any(num):
+                continue
+            g = math.gcd(den, *num) if den != 1 else 1
+            if g != 1:
+                num = tuple(c // g for c in num)
+            row.append((j, CycNum._of(conductor, num, den // g)))
+        yield tuple(row)
+
+
+def _reduce(coords: list[int], slots: int, conductor: int) -> list[tuple]:
+    """The reduced coordinates of the numbers over conductor N whose
+    unreduced coordinates, slots per number, lie one number after another
+    in coords.  They are split into columns, coordinate k of every number
+    in column k; each step below is one map across all the numbers: the
+    columns from N on are folded down (x^N = 1, and slots < 2N), and then,
+    as in ``_poly_rem_monic``, each top column times a nonzero coefficient
+    of Phi_N is taken off the column it meets (for a prime N, one top
+    column, taken off every other)."""
+    if slots == 1:  # phi(N) = 1: one coordinate each, already reduced
+        return list(zip(coords))
+    cols = [coords[k::slots] for k in range(slots)]
+    for k in range(conductor, slots):
+        cols[k - conductor] = list(map(operator.add, cols[k - conductor], cols[k]))
+    del cols[conductor:]
+    phi = cyclotomic_poly(conductor)
+    deg = len(phi) - 1
+    terms = [(j, c) for j, c in enumerate(phi[:deg]) if c]
+    for top in range(len(cols) - 1, deg - 1, -1):
+        col = cols[top]
+        if any(col):
+            off = top - deg
+            for j, c in terms:
+                scaled = col if c == 1 else map(operator.mul, col, repeat(c))
+                cols[off + j] = list(map(operator.sub, cols[off + j], scaled))
+    return list(zip(*cols[:deg]))
 
 
 class CycMatrix:
@@ -186,21 +266,11 @@ class CycMatrix:
             if self.size != other.size:
                 raise ValueError("size mismatch")
             a, b = self._unify(other)
-            # entry (i, j) sums x * y over the stored x = a[i, k] and
-            # y = b[k, j], as integer products of the packed entries
             cond, deg = a.conductor, euler_phi(a.conductor)
-            (da, ta), (db, tb) = _scale(a), _scale(b)
-            w = _slot_width(max(a.size * deg * ta * tb, ta, tb))
-            pa, pb = _pack(a, da, w), _pack(b, db, w)
-            unpack = _unpacker(cond, w, 2 * deg - 1, da * db)
-            out = []
-            for arow in pa:
-                acc = [0] * a.size
-                for k, x in arow:
-                    for j, y in pb[k]:
-                        acc[j] += x * y
-                out.append(_row((j, unpack(t)) for j, t in enumerate(acc) if t))
-            return CycMatrix._of(tuple(out), cond)
+            (da, ca, ta), (db, cb, tb) = _scale(a), _scale(b)
+            nbytes = _slot_bytes(max(a.size * deg * ta * tb, ta, tb))
+            sums = _sums(_pack(a, ca, nbytes), _pack(b, cb, nbytes), a.size)
+            return CycMatrix._of(tuple(_unpack(sums, cond, nbytes, da * db)), cond)
         s = CycNum._coerce(other)
         if s is None:
             return NotImplemented

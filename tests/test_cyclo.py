@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from yagita.cyclo import CycNum, cyclotomic_poly, json_int, zeta
-from yagita.numutil import is_prime, ramanujan_sum
+from yagita.numutil import euler_phi, is_prime, ramanujan_sum
 
 
 def poly_mul(a, b):
@@ -114,6 +114,42 @@ def test_denominator_normalization():
     assert y.is_zero and y.den == 1
     z = CycNum(4, (1, 0), -2)
     assert z.num == (-1, 0) and z.den == 2
+
+
+@pytest.mark.parametrize(
+    "conductor, coeffs", [(1, [2.5]), (3, [Fraction(7, 2), 1]), (1, ["3"])], ids=repr
+)
+def test_non_integer_coordinates_raise(conductor, coeffs):
+    # int() would read these as (2,), (3, 1) and (3,)
+    with pytest.raises(TypeError):
+        CycNum(conductor, coeffs)
+    with pytest.raises(TypeError):
+        CycNum(conductor, [1], coeffs[0])
+
+
+@st.composite
+def sparse_operands(draw):
+    """A conductor and two coordinate lists for it, of mixed signs and up
+    to 10**20 in size, each nonzero coordinate after a run of 0 to 8 zeros."""
+    n = draw(st.sampled_from([1, 4, 5, 7, 9, 12, 13, 20, 101]))
+    deg = euler_phi(n)
+
+    def coords():
+        out: list[int] = []
+        while len(out) < deg:
+            out += [0] * draw(st.integers(0, 8)) + [draw(st.integers(-(10**20), 10**20))]
+        return out[:deg]
+
+    return n, coords(), coords()
+
+
+@given(sparse_operands())
+@settings(max_examples=60, deadline=None)
+def test_product_of_sparse_numbers_matches_schoolbook(operands):
+    # the product meets nonzero coordinates only; the schoolbook product
+    # multiplies every pair of coordinates, zeros included
+    n, a, b = operands
+    assert CycNum(n, a) * CycNum(n, b) == CycNum(n, poly_mul(a, b))
 
 
 conductors = st.sampled_from([1, 3, 4, 5, 6, 7, 8, 9, 12, 13, 15, 20])

@@ -108,10 +108,14 @@ def test_det_with_cyclotomic_entries():
 
 
 def _dense_product(a, b):
-    """Reference: every entry as the full sum over k, zeros included."""
+    """Reference: every entry as the sum over k of a[i, k] * b[k, j] in
+    CycNum arithmetic, read off the dense rows; a term with a zero factor
+    is zero and left out."""
     n = a.size
+    ar, br = a.rows, b.rows
     return CycMatrix(
-        [[sum((a[i, k] * b[k, j] for k in range(n)), CycNum.rational(0))
+        [[sum((ar[i][k] * br[k][j] for k in range(n) if not (ar[i][k].is_zero or br[k][j].is_zero)),
+              CycNum.rational(0))
           for j in range(n)] for i in range(n)]
     )
 
@@ -384,14 +388,79 @@ def _dense_101_operands():
     )
 
 
+def _vanishing_operands():
+    # entry (0, 0) of the product is 1 + z*(1 + z + z^2 + z^3) over Q(zeta_5):
+    # five nonzero coordinates before the reduction and zero after it
+    z = zeta(5)
+    a = CycMatrix([[1, z, 0], [0, 1, 0], [2, 0, 1]], 5)
+    b = CycMatrix([[1, 0, z], [1 + z + z**2 + z**3, 1, 0], [0, z**2, 1]], 5)
+    return a, b
+
+
+def _singular_operands():
+    # rank one each, with a * b = 0: row 1 of a is zero, so its packed sums
+    # are 0, while rows 0 and 2 each have a sum that is nonzero before the
+    # reduction and zero after it
+    z = zeta(5)
+    s = 1 + z + z**2 + z**3
+    a = CycMatrix([[1, z, 0], [0, 0, 0], [3, 3 * z, 0]], 5)
+    b = CycMatrix([[1, z**2, 0], [s, z**2 * s, 0], [7, 1, z]], 5)
+    return a, b
+
+
+def _slot_bound_operands(coord):
+    # 1x1 over Q(zeta_3): the middle coordinate of the product entry is
+    # 2 * coord, and the packing bound is 2 * |coord|
+    return _uniform_operands(1, 3, coord, 1)
+
+
+def _monomial_operands(n, conductor):
+    rng = random.Random(n)
+
+    def matrix():
+        perm = rng.sample(range(n), n)
+        return CycMatrix(
+            [[rng.choice((-1, 1)) * zeta(conductor, rng.randrange(conductor)) if j == perm[i] else 0
+              for j in range(n)] for i in range(n)],
+            conductor,
+        )
+
+    return matrix(), matrix()
+
+
+# for k = 1, 2, 4, 8, a bound just below and one at 2**(8k - 1), the first
+# that a k-byte slot cannot hold: the slots are 1, 2, 2, 4, 4, 8, 8 bytes
+# wide and then 9 bytes, read slot by slot; the _slot_bound_operands
+# examples of test_product_entries_match_dense_reference meet these bounds
+SLOT_BOUNDS = [b for k in (1, 2, 4, 8) for b in (2 ** (8 * k - 1) - 2, 2 ** (8 * k - 1))]
+
+
+def test_slot_widths_round_up_to_machine_integers():
+    widths = [exactmat._slot_bytes(b) for b in SLOT_BOUNDS]
+    assert widths == [1, 2, 2, 4, 4, 8, 8, 9]
+    assert [exactmat._slot_bytes(b - 1) for b in SLOT_BOUNDS[1::2]] == [1, 2, 4, 8]
+
+
 @given(mixed_conductor_operands())
 @example(_rescale_operands())
+@example(_vanishing_operands())
+@example(_singular_operands())
+@example(_monomial_operands(64, 7))
+@example(_monomial_operands(4, 1))  # a signed permutation over Z
 @example(_dense_cyclotomic_operands())
 @example(_uniform_operands(3, 12, 10**20, 10**20))
 @example(_uniform_operands(2, 3, 2**31 - 1, 2**31 - 1))  # a 64-bit bound: the sign takes a byte
 @example(_uniform_operands(4, 5, -(2**31), 2**31 - 1))
 @example(_negative_top_operands())
 @example(_dense_101_operands())
+@example(_slot_bound_operands(-(2**6 - 1)))
+@example(_slot_bound_operands(2**6))
+@example(_slot_bound_operands(-(2**14 - 1)))
+@example(_slot_bound_operands(2**14))
+@example(_slot_bound_operands(-(2**30 - 1)))
+@example(_slot_bound_operands(2**30))
+@example(_slot_bound_operands(-(2**62 - 1)))
+@example(_slot_bound_operands(2**62))
 @settings(max_examples=60, deadline=None)
 def test_product_entries_match_dense_reference(operands):
     # the packed, once-reduced entries are the canonical ones, coordinate for
@@ -400,6 +469,7 @@ def test_product_entries_match_dense_reference(operands):
     ab = a * b
     assert ab.conductor == math.lcm(a.conductor, b.conductor)
     assert _entry_keys(ab) == _entry_keys(_dense_product(a, b).embed(ab.conductor))
+    _assert_canonical(ab)  # entries that reduce to zero are not stored
 
 
 def _count_inverses(monkeypatch):
