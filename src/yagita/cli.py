@@ -11,18 +11,16 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import random
 import sys
 from json.encoder import encode_basestring_ascii
 
 from .chern import eigen_exponents, n_upper, total_chern
-from .cyclo import json_int
-from .exactmat import MAX_MATRIX_SIZE, CapExceededError, CycMatrix
+from .exactmat import CapExceededError, CycMatrix
 from .fppoly import check_prop6, parse_fp_poly, random_unit_root_product
 from .formulas import yagita_gl, yagita_sl
 from .harness import exit_code, report_to_json, table, table_tsv, verify_case
-from .numutil import MAX_PRIME, euler_phi, is_prime
+from .numutil import MAX_PRIME, is_prime
 from .ringspec import compute_l, parse_ring
 from .witness import build, parse_kind, verify_embedding
 
@@ -104,34 +102,11 @@ def _cmd_witness(args) -> int:
 
 
 def _read_matrix(path: str) -> CycMatrix:
-    """Read a matrix file, checking that every conductor is positive and
-    bounding its size, the lcm of its conductors and the length of each
-    entry before any arithmetic: an entry over conductor N is a list of at
-    most phi(N) coefficients."""
+    """Read a matrix file; ``CycMatrix.from_json`` bounds it before any
+    arithmetic."""
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
     try:
-        rows = obj["entries"]
-        if len(rows) > MAX_MATRIX_SIZE:
-            raise ValueError(
-                f"matrix size {len(rows)} exceeds the cap {MAX_MATRIX_SIZE}"
-            )
-        cond = 1
-        for c in [obj["conductor"]] + [x["conductor"] for row in rows for x in row]:
-            c = json_int(c)
-            if c < 1:
-                raise ValueError(f"conductor {c} is not positive")
-            cond = math.lcm(cond, c)
-            if cond > MAX_PRIME:
-                raise ValueError(f"conductor {cond} exceeds the cap {MAX_PRIME}")
-        for x in (x for row in rows for x in row):
-            num, n = x["num"], json_int(x["conductor"])
-            if not isinstance(num, list):
-                raise TypeError("entry num is not a list")
-            if len(num) > euler_phi(n):
-                raise ValueError(
-                    f"entry num of length {len(num)} exceeds the cap phi({n}) = {euler_phi(n)}"
-                )
         return CycMatrix.from_json(obj)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed matrix file: {exc!r}") from None

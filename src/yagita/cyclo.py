@@ -29,7 +29,7 @@ import operator
 import re
 from fractions import Fraction
 
-from .numutil import divisors, euler_phi, factorize, power
+from .numutil import MAX_PRIME, divisors, euler_phi, factorize, power
 
 __all__ = ["CycNum", "zeta", "cyclotomic_poly", "json_int"]
 
@@ -365,8 +365,8 @@ class CycNum:
 
     @classmethod
     def from_json(cls, obj: dict) -> CycNum:
-        num = [json_int(c) for c in obj["num"]]
-        return cls(json_int(obj["conductor"]), num, json_int(obj["den"]))
+        n, num = _json_entry(obj)
+        return cls(n, [json_int(c) for c in num], json_int(obj["den"]))
 
     def __repr__(self) -> str:
         return f"CycNum({self.conductor}, {self.num}, {self.den})"
@@ -402,6 +402,28 @@ def json_int(value) -> int:
     if isinstance(value, str) and re.fullmatch("-?[0-9]+", value):
         return int(value)
     raise ValueError(f"expected an integer, got {value!r:.40}")
+
+
+def _check_conductor(value) -> int:
+    """A conductor read from input, bounded before anything factors it."""
+    n = json_int(value)
+    if n < 1:
+        raise ValueError(f"conductor {n} is not positive")
+    if n > MAX_PRIME:
+        raise ValueError(f"conductor {n} exceeds the cap {MAX_PRIME}")
+    return n
+
+
+def _json_entry(obj) -> tuple[int, list]:
+    """(N, num) of a number in JSON, once N is bounded and num is a list of
+    at most phi(N) items, still unread."""
+    n = _check_conductor(obj["conductor"])
+    num = obj["num"]
+    if not isinstance(num, list):
+        raise TypeError("entry num is not a list")
+    if len(num) > euler_phi(n):
+        raise ValueError(f"entry num of length {len(num)} exceeds the cap phi({n}) = {euler_phi(n)}")
+    return n, num
 
 
 def zeta(n: int, k: int = 1) -> CycNum:

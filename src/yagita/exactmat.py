@@ -32,7 +32,7 @@ import sys
 from array import array
 from itertools import chain, repeat
 
-from .cyclo import CycNum, _sum_of_products, cyclotomic_poly, json_int
+from .cyclo import CycNum, _check_conductor, _json_entry, _sum_of_products, cyclotomic_poly
 from .numutil import euler_phi, power
 
 DEFAULT_CAP = 10**6
@@ -199,9 +199,7 @@ class CycMatrix:
         n = len(entries)
         if n == 0 or any(len(row) != n for row in entries):
             raise ValueError("matrix must be square and nonempty")
-        cond = 1 if conductor is None else conductor
-        if cond < 1:
-            raise ValueError(f"conductor {cond} is not positive")
+        cond = 1 if conductor is None else _check_conductor(conductor)
         for row in entries:
             for x in row:
                 cond = math.lcm(cond, x.conductor)
@@ -309,10 +307,14 @@ class CycMatrix:
 
     @classmethod
     def from_json(cls, obj: dict) -> CycMatrix:
-        return cls(
-            [[CycNum.from_json(x) for x in row] for row in obj["entries"]],
-            json_int(obj["conductor"]),
-        )
+        """Every bound (rows, conductors, their lcm, num lengths) holds before an entry is read."""
+        rows = obj["entries"]
+        if len(rows) > MAX_MATRIX_SIZE:
+            raise ValueError(f"matrix size {len(rows)} exceeds the cap {MAX_MATRIX_SIZE}")
+        cond = _check_conductor(obj["conductor"])
+        for x in chain.from_iterable(rows):
+            cond = _check_conductor(math.lcm(cond, _json_entry(x)[0]))
+        return cls([[CycNum.from_json(x) for x in row] for row in rows], cond)
 
     def __repr__(self) -> str:
         return f"CycMatrix({self.size}x{self.size}, conductor={self.conductor})"

@@ -16,6 +16,7 @@ constraint at all.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -31,7 +32,7 @@ class FpPoly:
     def __init__(self, p: int, coeffs=()):
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
-        cs = [int(c) % p for c in coeffs]
+        cs = [operator.index(c) % p for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "p", p)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import yagita.cli
 from yagita.cli import main
-from yagita.cyclo import zeta
+from yagita.cyclo import CycNum, zeta
 from yagita.exactmat import CycMatrix, Perm
 from yagita.ringspec import RationalIntegers
 from yagita.witness import WitnessKind, build, build_extraspecial_monomial, build_q8
@@ -345,85 +345,107 @@ def _entry(conductor=1, num=(0,), den=1):
     return {"conductor": conductor, "num": list(num), "den": den}
 
 
-@pytest.mark.parametrize(
-    "matrix, message",
-    [
-        (
-            {"size": 70, "conductor": 1, "entries": [[_entry()] * 70] * 70},
-            "matrix size 70 exceeds the cap 64",
-        ),
-        (
-            {"size": 1, "conductor": 10007, "entries": [[_entry(10007)]]},
-            "conductor 10007 exceeds the cap 10000",
-        ),
-        (  # each conductor is in bounds, their lcm is not
-            {"size": 2, "conductor": 1,
-             "entries": [[_entry(101), _entry()], [_entry(), _entry(103)]]},
-            "conductor 10403 exceeds the cap 10000",
-        ),
-        (
-            {"size": 1, "conductor": 1, "entries": [[_entry(1, (1,), 0)]]},
-            "zero denominator",
-        ),
-        (
-            {"size": 2, "conductor": 1, "entries": [[_entry(), _entry()], [_entry()]]},
-            "matrix must be square and nonempty",
-        ),
-        (
-            {"size": 1, "conductor": 1, "entries": [[{"num": [1], "den": 1}]]},
-            "malformed matrix file: KeyError('conductor')",
-        ),
-        (
-            {"size": 1, "conductor": 1,
-             "entries": [[{"conductor": 1, "num": "12", "den": 1}]]},
-            "malformed matrix file: TypeError('entry num is not a list')",
-        ),
-        (  # reducing 12000 coefficients mod the 9973rd cyclotomic polynomial
-            # and the order test after it would take about a minute
-            {"size": 1, "conductor": 9973,
-             "entries": [[_entry(9973, random.Random(0).choices(range(-9, 10), k=12000))]]},
-            "entry num of length 12000 exceeds the cap phi(9973) = 9972",
-        ),
-        (
-            {"size": 1, "conductor": 1, "entries": [[_entry(0)]]},
-            "conductor 0 is not positive",
-        ),
-        (  # read as 1 by int(), so the identity's answer came out
-            {"size": 1, "conductor": 1, "entries": [[_entry(1, (1.5,))]]},
-            "expected an integer, got 1.5",
-        ),
-        (
-            {"size": 1, "conductor": 1, "entries": [[_entry(1, (1,), 1.9)]]},
-            "expected an integer, got 1.9",
-        ),
-        (
-            {"size": 1, "conductor": 1, "entries": [[_entry(2.5, (1,))]]},
-            "expected an integer, got 2.5",
-        ),
-        (  # the top-level conductor was folded into the lcm unchecked, so 0
-            # and -7 were read as conductor 1 and the identity's answer came out
-            {"size": 1, "conductor": 0, "entries": [[_entry(1, (1,))]]},
-            "conductor 0 is not positive",
-        ),
-        (
-            {"size": 1, "conductor": -7, "entries": [[_entry(1, (1,))]]},
-            "conductor -7 is not positive",
-        ),
-    ],
-)
-def test_chern_rejects_bad_matrix_file(tmp_path, capsys, monkeypatch, matrix, message):
+BAD_MATRIX_FILES = [
+    (
+        {"size": 70, "conductor": 1, "entries": [[_entry()] * 70] * 70},
+        "matrix size 70 exceeds the cap 64",
+    ),
+    (
+        {"size": 1, "conductor": 10007, "entries": [[_entry(10007)]]},
+        "conductor 10007 exceeds the cap 10000",
+    ),
+    (  # each conductor is in bounds, their lcm is not
+        {"size": 2, "conductor": 1,
+         "entries": [[_entry(101), _entry()], [_entry(), _entry(103)]]},
+        "conductor 10403 exceeds the cap 10000",
+    ),
+    (
+        {"size": 1, "conductor": 1, "entries": [[_entry(1, (1,), 0)]]},
+        "zero denominator",
+    ),
+    (
+        {"size": 2, "conductor": 1, "entries": [[_entry(), _entry()], [_entry()]]},
+        "matrix must be square and nonempty",
+    ),
+    (
+        {"size": 1, "conductor": 1, "entries": [[{"num": [1], "den": 1}]]},
+        "malformed matrix file: KeyError('conductor')",
+    ),
+    (
+        {"size": 1, "conductor": 1,
+         "entries": [[{"conductor": 1, "num": "12", "den": 1}]]},
+        "malformed matrix file: TypeError('entry num is not a list')",
+    ),
+    (  # reducing 12000 coefficients mod the 9973rd cyclotomic polynomial
+        # and the order test after it would take about a minute
+        {"size": 1, "conductor": 9973,
+         "entries": [[_entry(9973, random.Random(0).choices(range(-9, 10), k=12000))]]},
+        "entry num of length 12000 exceeds the cap phi(9973) = 9972",
+    ),
+    (
+        {"size": 1, "conductor": 1, "entries": [[_entry(0)]]},
+        "conductor 0 is not positive",
+    ),
+    (  # read as 1 by int(), so the identity's answer came out
+        {"size": 1, "conductor": 1, "entries": [[_entry(1, (1.5,))]]},
+        "expected an integer, got 1.5",
+    ),
+    (
+        {"size": 1, "conductor": 1, "entries": [[_entry(1, (1,), 1.9)]]},
+        "expected an integer, got 1.9",
+    ),
+    (
+        {"size": 1, "conductor": 1, "entries": [[_entry(2.5, (1,))]]},
+        "expected an integer, got 2.5",
+    ),
+    (  # the top-level conductor was folded into the lcm unchecked, so 0
+        # and -7 were read as conductor 1 and the identity's answer came out
+        {"size": 1, "conductor": 0, "entries": [[_entry(1, (1,))]]},
+        "conductor 0 is not positive",
+    ),
+    (
+        {"size": 1, "conductor": -7, "entries": [[_entry(1, (1,))]]},
+        "conductor -7 is not positive",
+    ),
+]
+
+
+def _forbid_parsing_before_bounds(monkeypatch, message):
+    """Fail the test if an entry becomes a number when one of its bounds
+    fails: every bound of every entry is checked first."""
+    if "cap" in message or "malformed" in message or "not positive" in message:
+
+        def no_parse(obj):
+            raise AssertionError("entry parsed before every bound was checked")
+
+        monkeypatch.setattr(CycNum, "from_json", no_parse)
+
+
+@pytest.mark.parametrize("matrix, message", BAD_MATRIX_FILES)
+def test_chern_rejects_bad_matrix_file(
+    tmp_path, capsys, monkeypatch, bounded_factoring, matrix, message
+):
     f = tmp_path / "m.json"
     f.write_text(json.dumps(matrix), encoding="utf-8")
-    if "cap" in message or "malformed" in message or "not positive" in message:
-        # the bounds are checked before any entry becomes a number
-        def no_parse(obj):
-            raise AssertionError("matrix parsed before its bounds were checked")
-
-        monkeypatch.setattr(CycMatrix, "from_json", no_parse)
+    _forbid_parsing_before_bounds(monkeypatch, message)
     assert main(["chern", "--matrix-file", str(f), "--prime", "3"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("matrix, message", BAD_MATRIX_FILES)
+def test_matrix_json_rejects_bad_matrix_file(monkeypatch, bounded_factoring, matrix, message):
+    # the library reader raises what the CLI reports, which only names a
+    # KeyError or TypeError as a malformed file
+    _forbid_parsing_before_bounds(monkeypatch, message)
+    with pytest.raises((ValueError, ArithmeticError, KeyError, TypeError)) as info:
+        CycMatrix.from_json(matrix)
+    exc = info.value
+    if isinstance(exc, (KeyError, TypeError)):
+        assert f"malformed matrix file: {exc!r}" == message
+    else:
+        assert str(exc) == message
 
 
 def _is_int(v) -> bool:

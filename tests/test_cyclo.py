@@ -1,7 +1,11 @@
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -207,6 +211,35 @@ def test_json_round_trip():
     x = CycNum(12, (1, -2, 0, 3), 5)
     blob = json.dumps(x.to_json())
     assert CycNum.from_json(json.loads(blob)) == x
+
+
+def test_json_conductor_is_bounded_before_factoring(bounded_factoring):
+    obj = {"conductor": 10**18 + 3, "num": [1], "den": 1}
+    with pytest.raises(ValueError, match="^conductor 1000000000000000003 exceeds the cap 10000$"):
+        CycNum.from_json(obj)
+    obj = {"conductor": 7, "num": [1] * 7, "den": 1}
+    with pytest.raises(ValueError, match=r"^entry num of length 7 exceeds the cap phi\(7\) = 6$"):
+        CycNum.from_json(obj)
+
+
+def test_json_huge_conductor_fails_fast():
+    # euler_phi factors by trial division, so a conductor read unbounded
+    # stalls the child process until the timeout fails the test
+    code = (
+        "from yagita.cyclo import CycNum\n"
+        "try:\n"
+        "    CycNum.from_json({'conductor': 10**18 + 3, 'num': [1], 'den': 1})\n"
+        "except ValueError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise SystemExit('from_json returned')\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, timeout=10, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize("value", [1.0, 1.5, True, None, " 1", "1.0", "", [1]])

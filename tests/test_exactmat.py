@@ -705,6 +705,21 @@ def test_matrix_json_rejects_nonpositive_conductor(conductor):
     assert CycMatrix([[1]], None) == CycMatrix([[1]], 1) == CycMatrix.identity(1)
 
 
+def test_matrix_json_bounds_the_lcm_of_conductors(monkeypatch, bounded_factoring):
+    # each conductor is in bounds; the matrix would be over their lcm
+    # 988027, with 996 * 990 coordinates per entry, and no entry is read
+    # before the lcm is checked
+    x, y = zeta(997).to_json(), zeta(991).to_json()
+    obj = {"conductor": 1, "entries": [[x, y], [y, x]]}
+
+    def no_parse(obj):
+        raise AssertionError("entry parsed before the lcm was checked")
+
+    monkeypatch.setattr(CycNum, "from_json", no_parse)
+    with pytest.raises(ValueError, match="^conductor 988027 exceeds the cap 10000$"):
+        CycMatrix.from_json(obj)
+
+
 def test_mixed_conductor_entries_unify():
     m = CycMatrix([[zeta(3), 1], [zeta(4), 0]])
     assert m.conductor == 12

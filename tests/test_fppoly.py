@@ -1,6 +1,7 @@
 import math
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -30,6 +31,16 @@ def test_multiply_matches_schoolbook():
     f = FpPoly(3, (1, 1))
     g = FpPoly(3, (1, 2))
     assert (f * g).coeffs == conv_mod((1, 1), (1, 2), 3) == (1, 0, 2)
+
+
+@pytest.mark.parametrize(
+    "p, coeffs", [(3, [2.5, 1]), (3, [1, "1"]), (5, [Fraction(7, 2)])], ids=repr
+)
+def test_non_integer_coefficients_raise(p, coeffs):
+    # int(c) % p would read these as (2, 1), (1, 1) and (3,), though 7/2 is
+    # 1 in F_5
+    with pytest.raises(TypeError):
+        FpPoly(p, coeffs)
 
 
 def test_exponent_gcd():
