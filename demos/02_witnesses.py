@@ -19,6 +19,7 @@ from yagita import (
     det,
     sl_pad,
     verify_embedding,
+    zeta,
 )
 
 Z = RationalIntegers()
@@ -59,4 +60,4 @@ w = build_extraspecial_monomial(3, 1)
 x, z = w.generators[0], w.generators[1]
 print("  X =", x)
 print("  Z =", z)
-print("  Z X (X Z)^-1 is the scalar zeta_3:", z * x == w.central_commutations[0][2] * (x * z))
+print("  Z X (X Z)^-1 is the scalar zeta_3:", z * x == zeta(3) * (x * z))

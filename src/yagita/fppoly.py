@@ -21,7 +21,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 
-from .numutil import MAX_N, is_prime, power
+from .numutil import MAX_N, MAX_PRIME, is_prime, power
 
 _TERM_RE = re.compile(r"^\s*([+-]?\d+|[+-])?\s*\*?\s*(x(?:\^(\d+))?)?\s*$")
 
@@ -266,11 +266,18 @@ def random_unit_root_product(p: int, rng, max_factors: int = 10) -> FpPoly:
 
 
 def parse_fp_poly(text: str, p: int | None = None) -> FpPoly:
-    """Parse "c0 + c1*x + c2*x^2 (mod p)"; the trailing modulus wins over p."""
+    """Parse "c0 + c1*x + c2*x^2 (mod p)"; a trailing modulus must equal p
+    when both are given, and is bounded by MAX_PRIME before any primality
+    test."""
     text = text.strip()
     m = re.search(r"\(mod\s+(\d+)\)\s*$", text)
     if m:
-        p = int(m.group(1))
+        q = int(m.group(1))
+        if q > MAX_PRIME:
+            raise ValueError(f"modulus {q} exceeds the cap {MAX_PRIME}")
+        if p is not None and q != p:
+            raise ValueError(f"modulus {q} differs from the prime {p}")
+        p = q
         text = text[: m.start()].strip()
     if p is None:
         raise ValueError("no modulus given: append '(mod p)' or pass p")

@@ -2,7 +2,7 @@
 
 Five families are constructed, each packaged with the data needed to check
 it by machine: generators, the abstract order, a presentation (relator
-words plus scalar commutation checks), whether every element is claimed to
+words plus central commutation pairs), whether every element is claimed to
 have determinant 1, and the group's known Yagita invariant.
 
 * ``G1(p, m)`` -- split metacyclic C_p : C_m with faithful action.  Over a
@@ -99,8 +99,8 @@ class WitnessEmbedding:
     expected_order: int
     claims_sl: bool
     relators: tuple[Word, ...]
-    # (i, j, S): require gens[i] @ gens[j] == S @ gens[j] @ gens[i]
-    central_commutations: tuple[tuple[int, int, CycMatrix], ...] = ()
+    # (i, j): every gens[i] gens[j] (gens[j] gens[i])^-1 is one central element
+    central_commutations: tuple[tuple[int, int], ...] = ()
     expected_center: int = 1
     padded: bool = False
 
@@ -189,7 +189,7 @@ def build_g1(p: int, m: int, ring: RingSpec) -> WitnessEmbedding:
     if m < 2 or (p - 1) % m != 0:
         raise WitnessError(f"m = {m} must divide p - 1 = {p - 1} and exceed 1")
     l = compute_l(ring, p)
-    dim = m * l // math.gcd(m, l)
+    dim = math.lcm(m, l)
     if dim > MAX_MATRIX_SIZE:
         raise WitnessError(f"dimension {dim} exceeds the matrix-size cap")
     monomial = l == 1 and not isinstance(ring, AbstractRing)
@@ -278,17 +278,7 @@ def sl_pad(w: WitnessEmbedding) -> WitnessEmbedding:
     new_gens = tuple(
         block_diag(g, CycMatrix([[d]])) for g, d in zip(w.generators, dets)
     )
-    new_central = tuple(
-        (i, j, block_diag(s, CycMatrix([[det(s)]])))
-        for i, j, s in w.central_commutations
-    )
-    return replace(
-        w,
-        generators=new_gens,
-        claims_sl=True,
-        central_commutations=new_central,
-        padded=True,
-    )
+    return replace(w, generators=new_gens, claims_sl=True, padded=True)
 
 
 # ---------------------------------------------------------------------------
@@ -296,15 +286,17 @@ def sl_pad(w: WitnessEmbedding) -> WitnessEmbedding:
 
 
 def _tensor_extraspecial(
-    p: int, m: int, x: CycMatrix, z: CycMatrix, c, ring: RingSpec
+    p: int, m: int, x: CycMatrix, z: CycMatrix, ring: RingSpec
 ) -> WitnessEmbedding:
     """The extraspecial group of order p^(2m+1) on the m-fold tensor power
-    of p-dimensional blocks x and z of order p with z x = c x z.
+    of p-dimensional blocks x and z of order p that commute up to a scalar.
 
     Slot i carries X_i and Z_i (the block there, the identity in every
-    other slot); Z_i X_i = c X_i Z_i within a slot and everything else
-    commutes.
+    other slot); everything commutes except Z_i with X_i, whose commutator
+    is one central element for every slot: the pairs (Z_i, X_i).
     """
+    if m < 1:
+        raise WitnessError(f"m = {m} must be at least 1")
     eye = CycMatrix.identity(p, math.lcm(x.conductor, z.conductor))
 
     def at_slot(block: CycMatrix, slot: int) -> CycMatrix:
@@ -327,8 +319,7 @@ def _tensor_extraspecial(
         for j in range(m):
             if i != j:
                 relators.append(_commutator_word(i, m + j))  # X_i with Z_j
-    scalar = c * CycMatrix.identity(p**m, eye.conductor)
-    central = tuple((m + i, i, scalar) for i in range(m))
+    central = tuple((m + i, i) for i in range(m))
     return WitnessEmbedding(
         kind=WitnessKind("E", p, m),
         ring=ring,
@@ -350,12 +341,10 @@ def build_extraspecial_monomial(p: int, m: int) -> WitnessEmbedding:
     """
     if not is_prime(p) or p == 2:
         raise WitnessError("need an odd prime p")
-    if m < 1 or p**m > MAX_MATRIX_SIZE:
+    if p**m > MAX_MATRIX_SIZE:
         raise WitnessError(f"p^m = {p**m} exceeds the matrix-size cap")
     diag = CycMatrix.diagonal([zeta(p, i) for i in range(p)])
-    return _tensor_extraspecial(
-        p, m, _shift_matrix(p, 1), diag, zeta(p, 1), Cyclotomic(p)
-    )
+    return _tensor_extraspecial(p, m, _shift_matrix(p, 1), diag, Cyclotomic(p))
 
 
 def blow_up_matrix(mat: CycMatrix, p: int) -> CycMatrix:
@@ -388,16 +377,7 @@ def blow_up(w: WitnessEmbedding) -> WitnessEmbedding:
     if (p - 1) * w.dimension > MAX_MATRIX_SIZE:
         raise WitnessError("blown-up dimension exceeds the matrix-size cap")
     new_gens = tuple(blow_up_matrix(g, p) for g in w.generators)
-    new_central = tuple(
-        (i, j, blow_up_matrix(s, p)) for i, j, s in w.central_commutations
-    )
-    return replace(
-        w,
-        ring=RationalIntegers(),
-        generators=new_gens,
-        central_commutations=new_central,
-        claims_sl=True,
-    )
+    return replace(w, ring=RationalIntegers(), generators=new_gens, claims_sl=True)
 
 
 def build_e2m_integer(m: int) -> WitnessEmbedding:
@@ -412,7 +392,7 @@ def build_e2m_integer(m: int) -> WitnessEmbedding:
     determinants 1) are checked by ``verify_embedding``, which the harness
     and the CLI run on every witness.
     """
-    if m < 1 or 2**m > MAX_MATRIX_SIZE:
+    if 2**m > MAX_MATRIX_SIZE:
         raise WitnessError(f"2^m = {2**m} exceeds the matrix-size cap")
     if m == 1:
         j = CycMatrix([[0, -1], [1, 0]])
@@ -428,7 +408,7 @@ def build_e2m_integer(m: int) -> WitnessEmbedding:
         )
     swap = CycMatrix([[0, 1], [1, 0]])
     sign = CycMatrix([[1, 0], [0, -1]])
-    return _tensor_extraspecial(2, m, swap, sign, -1, RationalIntegers())
+    return _tensor_extraspecial(2, m, swap, sign, RationalIntegers())
 
 
 def build_q8() -> WitnessEmbedding:
@@ -504,30 +484,32 @@ def verify_embedding(w: WitnessEmbedding) -> VerifiedWitness:
     Order equality plus the presentation checks pin the group: the matrices
     satisfy all relations of the abstract group, so they generate a
     quotient of it, and matching orders force an isomorphism (faithfulness).
-    Relators, central commutations and center are read exactly on the
-    group's faithful permutations of the basis-vector orbit.
+    Central commutation pairs (i, j) ask that the commutators
+    g_i g_j (g_j g_i)^-1 are one element c commuting with every generator.
+    For E(p, m), G/<c> is then abelian on 2m generators of order p, and
+    z x^p z^-1 = c^p x^p gives c^p = 1: the presented group has order at
+    most p^(2m+1) whatever scalar c is.  All of this, and the center, is
+    read on the group's faithful permutations of the basis-vector orbit.
     The claimed order bounds the enumeration: a group with more elements
     raises CapExceededError at the first element past the claim.
     """
     group = closure(w.generators, w.expected_order)
     order_ok = len(group) == w.expected_order
     relations_ok = relations_check(group, w.relators)
-    gens = group.gens
-    central_ok = all(
-        group.matrix(gens[i] * gens[j] * (gens[j] * gens[i]).inverse()) == s
-        for i, j, s in w.central_commutations
-    )
-    # det is multiplicative, so the generators' determinants settle the SL
-    # claim for every element of the group they generate
-    sl_ok = (not w.claims_sl) or all(det(g) == 1 for g in w.generators)
     # column j of an element x is Omega[x[j]] and the action on Omega is
     # faithful, so g x = x g exactly when their columns agree: g[x[j]] ==
     # x[g[j]] for every j < n, the basis vectors at the head of Omega
-    n = group.size
-    center = sum(
-        1 for x in group.elements() if all(g[x[j]] == x[g[j]] for g in group.gens for j in range(n))
-    )
-    center_ok = center == w.expected_center
+    n, gens = group.size, group.gens
+
+    def central(x) -> bool:
+        return all(g[x[j]] == x[g[j]] for g in gens for j in range(n))
+
+    commutators = {gens[i] * gens[j] * (gens[j] * gens[i]).inverse() for i, j in w.central_commutations}
+    central_ok = len(commutators) <= 1 and all(map(central, commutators))
+    # det is multiplicative, so the generators' determinants settle the SL
+    # claim for every element of the group they generate
+    sl_ok = (not w.claims_sl) or all(det(g) == 1 for g in w.generators)
+    center_ok = sum(map(central, group.elements())) == w.expected_center
     return VerifiedWitness(
         embedding=w,
         order=len(group),
@@ -620,14 +602,12 @@ def witness_menu(p: int, n: int, ring: RingSpec) -> list[WitnessEmbedding]:
         if not (is_rational_integers(ring) or l == 1):
             return entries
         for m in divisors(p - 1):
-            if m < 2 or m * l // math.gcd(m, l) > size:
+            dim = math.lcm(m, l)
+            if m < 2 or dim > size:
                 continue
             add(WitnessKind("G1", p, m))
-            if m % 2 == 0:
-                try:
-                    add(WitnessKind("G2", p, m))
-                except WitnessError:
-                    pass
+            if m % 2 == 0 and has_nth_root_of_minus_one(ring, dim):
+                add(WitnessKind("G2", p, m))
         scale = (p - 1) if is_rational_integers(ring) else 1
         q = 1
         while p**q <= MAX_MATRIX_SIZE and scale * p**q <= size:

@@ -321,21 +321,46 @@ def test_witness_larger_than_claimed_exits_1(capsys, monkeypatch):
             "--json output of 33554432 matrix entries (8192 elements of size 64) "
             "exceeds the cap 131072",
         ),
+        (
+            ["prop6", "--prime", "3", "--poly", "1 + x (mod 1000000000000000003)"],
+            "modulus 1000000000000000003 exceeds the cap 10000",
+        ),
+        (
+            ["prop6", "--prime", "3", "--poly", "1 + x (mod 7)"],
+            "modulus 7 differs from the prime 3",
+        ),
     ],
 )
 def test_unbounded_input_exits_1(capsys, monkeypatch, argv, message):
     # nothing past the bound is factored or tested for primality first
+    import yagita.fppoly
     import yagita.ringspec
 
-    for name in ("is_prime", "euler_phi", "squarefree_part"):
-        real = getattr(yagita.ringspec, name)
+    hooks = [(yagita.ringspec, name) for name in ("is_prime", "euler_phi", "squarefree_part")]
+    for module, name in hooks + [(yagita.fppoly, "is_prime")]:
+        real = getattr(module, name)
 
         def bounded(n, real=real, name=name):
             assert abs(n) <= 10**4, f"{name}({n}) ran before the input bound"
             return real(n)
 
-        monkeypatch.setattr(yagita.ringspec, name, bounded)
+        monkeypatch.setattr(module, name, bounded)
     assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "kind, message",
+    [
+        ("e:2:0", "m = 0 must be at least 1"),
+        ("e:3:0", "m = 0 must be at least 1"),
+        ("e:2:7", "2^m = 128 exceeds the matrix-size cap"),
+    ],
+)
+def test_extraspecial_rank_out_of_range_exits_1(capsys, kind, message):
+    assert main(["witness", "--kind", kind]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"

@@ -372,21 +372,38 @@ def test_false_center_fails(center):
 
 
 @pytest.mark.parametrize(
-    "w, s",
+    "w, pair",
     [
-        # Z X = zeta_3 X Z, not zeta_3^2 X Z
-        (build_extraspecial_monomial(3, 1), zeta(3, 2) * CycMatrix.identity(3, 3)),
-        # the slot blocks anticommute, so the scalar is -I, not +I
-        (build_e2m_integer(2), CycMatrix.identity(4)),
-        # 2 I is no element of the group: it maps Omega off itself
-        (build_e2m_integer(2), 2 * CycMatrix.identity(4)),
+        # X_0 and X_1 commute: their commutator is the identity, not the
+        # commutator Z_0 X_0 Z_0^-1 X_0^-1 of the listed pairs
+        (build_extraspecial_monomial(3, 2), (0, 1)),
+        # b a b^-1 a^-1 = a^(g-1) is no central element
+        (build_g1(5, 4, Z), (1, 0)),
     ],
+    ids=["E(3,2)-X0-X1", "G1(5,4)-b-a"],
 )
-def test_false_central_commutation_fails(w, s):
+def test_false_central_commutation_pair_fails(w, pair):
     assert verify_embedding(w).central_ok is True
-    central = tuple((i, j, s) for i, j, _ in w.central_commutations)
+    central = w.central_commutations + (pair,)
     vw = verify_embedding(dataclasses.replace(w, central_commutations=central))
     assert vw.central_ok is False and vw.ok is False
+
+
+def test_verify_case_builds_no_matrix(monkeypatch):
+    # E(3,1)/Z, E(5,1) and E(2,2)/Z carry central commutations; the harness
+    # checks them, the relators and the Chern rows on permutations alone
+    from yagita import harness
+    from yagita.exactmat import MatrixGroup
+
+    def no_matrix(group, x):
+        raise AssertionError("verification built a matrix")
+
+    monkeypatch.setattr(harness, "_checked", {})
+    monkeypatch.setattr(MatrixGroup, "matrix", no_matrix)
+    for p, n, ring in [(3, 6, Z), (5, 5, Cyclotomic(5)), (2, 4, Z)]:
+        report = verify_case(p, n, ring)
+        assert report.verdict == "Pass", (p, n, ring)
+        assert any(w.kind.family == "E" for w in witness_menu(p, n, ring))
 
 
 @pytest.mark.parametrize(
