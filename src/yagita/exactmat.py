@@ -22,6 +22,12 @@ A finite group of n x n matrices acts faithfully on Omega, the orbit of
 the basis vectors, since an element's columns are its images of them.
 ``closure`` enumerates the group as permutations of Omega, which every
 group computation reads (traces too); a matrix is rebuilt only on request.
+A permutation of at most 256 points is a ``Perm``, one byte per point,
+and a product is one ``bytes.translate``: about 0.5 us at any size up to
+256 on a 2-core machine, where composing tuples index by index took
+2.3 us at 25 points and 12 us at 256.  Past 256 points it is a
+``WidePerm`` tuple, composed by one ``operator.itemgetter`` (7 us at 343
+points, against 18 us).
 """
 
 from __future__ import annotations
@@ -377,20 +383,41 @@ def det(a: CycMatrix) -> CycNum:
     return d
 
 
-class Perm(tuple):
-    """A permutation of the indices of Omega; ``x * y`` is the permutation
-    of the matrix product, y first, then x."""
+class Perm(bytes):
+    """A permutation of at most 256 indices of Omega, one byte per index;
+    ``x * y`` is the permutation of the matrix product, y first, then x:
+    each byte of y translated through x, padded to the 256 entries of a
+    translation table (y never reads the padding)."""
 
     __slots__ = ()
 
     def __mul__(self, other: Perm) -> Perm:
-        return Perm(map(self.__getitem__, other))
+        return Perm(other.translate(self.ljust(256)))
 
     def inverse(self) -> Perm:
         out = [0] * len(self)
         for i, j in enumerate(self):
             out[j] = i
-        return Perm(out)
+        return type(self)(out)
+
+
+class WidePerm(tuple):
+    """A permutation of more than 256 indices of Omega, which a byte each no
+    longer holds: a tuple, with ``Perm``'s product, the entries of x picked
+    at y (an itemgetter of 257 or more indices returns a tuple)."""
+
+    __slots__ = ()
+
+    def __mul__(self, other: WidePerm) -> WidePerm:
+        return WidePerm(operator.itemgetter(*other)(self))
+
+    inverse = Perm.inverse
+
+
+def perm(images) -> Perm | WidePerm:
+    """The permutation with this sequence of images of 0, 1, ...: a
+    ``Perm`` up to 256 points, a ``WidePerm`` past that."""
+    return (Perm if len(images) <= 256 else WidePerm)(images)
 
 
 def _image(g: CycMatrix, v: tuple) -> tuple:
@@ -400,23 +427,27 @@ def _image(g: CycMatrix, v: tuple) -> tuple:
     return _row((i, _sum_of_products(g.conductor, t)) for i, t in enumerate(terms) if t)
 
 
-def _orbit(points: list, gens, act, key, cap: int, what: str) -> list[Perm]:
-    """Extend points in place, breadth-first, to their orbit under gens (x
-    goes to act(g, x), keyed by key(x)) and return each generator's
-    permutation of it; raises CapExceededError past cap points."""
+def _orbit(points: list, gens: list, cap: int) -> list:
+    """Extend the vectors points in place, breadth-first, to their orbit
+    under the matrices gens and return each generator's permutation of it;
+    raises CapExceededError past cap points."""
+
+    def key(v: tuple) -> tuple:
+        return tuple((i, x.num, x.den) for i, x in v)
+
     index = {key(x): i for i, x in enumerate(points)}
     images: list[list[int]] = [[] for _ in gens]
     for x in points:  # grows while it is walked
         for g, img in zip(gens, images):
-            y = act(g, x)
+            y = _image(g, x)
             k = key(y)
             if k not in index:
                 if len(points) >= cap:
-                    raise CapExceededError(cap, what)
+                    raise CapExceededError(cap, "basis-vector orbit")
                 index[k] = len(points)
                 points.append(y)
             img.append(index[k])
-    return [Perm(img) for img in images]
+    return [perm(img) for img in images]
 
 
 class MatrixGroup:
@@ -427,7 +458,7 @@ class MatrixGroup:
         self.size, self.conductor, self.omega, self.gens = size, conductor, omega, gens
         self._elements = tuple(elements)
 
-    def elements(self) -> tuple[Perm, ...]:
+    def elements(self) -> tuple:
         return self._elements
 
     def __len__(self) -> int:
@@ -462,12 +493,17 @@ def closure(generators, cap: int = DEFAULT_CAP) -> MatrixGroup:
     cond = math.lcm(*(g.conductor for g in gens))
     one = CycNum(cond, (1,))
     omega = [((j, one),) for j in range(n)]
-    perms = _orbit(
-        omega, [g.embed(cond) for g in gens], _image,
-        lambda v: tuple((i, x.num, x.den) for i, x in v), n * cap, "basis-vector orbit",
-    )
-    elements = [Perm(range(len(omega)))]
-    _orbit(elements, perms, Perm.__mul__, lambda x: x, cap, "group closure")
+    perms = _orbit(omega, [g.embed(cond) for g in gens], n * cap)
+    ident = perm(range(len(omega)))
+    elements, seen = [ident], {ident}
+    for x in elements:  # grows while it is walked
+        for g in perms:
+            y = g * x
+            if y not in seen:
+                if len(elements) >= cap:
+                    raise CapExceededError(cap, "group closure")
+                seen.add(y)
+                elements.append(y)
     return MatrixGroup(n, cond, omega, perms, elements)
 
 

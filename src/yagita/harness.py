@@ -84,17 +84,25 @@ def _chern_scan(group: MatrixGroup, p: int) -> tuple:
 
     Each representative is an element of order p of a group of matrices,
     so it has an eigenvalue zeta_p**a with a != 0 and a nonconstant total
-    Chern class: a bound of 0 can only mean an arithmetic bug."""
-    rows = []
+    Chern class: a bound of 0 can only mean an arithmetic bug.  The trace
+    of an element of order p fixes the multiplicity of each eigenvalue
+    (``exponents_from_trace``), and the multiplicities fix the rest of the
+    row, so each row is computed once per distinct trace: the largest
+    witnesses have only a few traces over thousands of subgroups."""
+    rows, by_trace = [], {}
     # the scan has proved x**p = 1 for each representative
     for idx, x in enumerate(order_p_cyclic_subgroups(group, p)):
-        nu = n_upper(exponents_from_trace(group.trace(x), group.size, p))
-        if not nu:
-            raise ArithmeticError(
-                f"order-{p} subgroup {idx} has a constant total Chern class; arithmetic bug"
-            )
-        m_part, q_part = mp_q_decompose(nu, p)
-        rows.append((idx, nu, m_part, q_part, (p - 1) % m_part == 0))
+        t = group.trace(x)
+        k = t.key()
+        if k not in by_trace:
+            nu = n_upper(exponents_from_trace(t, group.size, p))
+            if not nu:
+                raise ArithmeticError(
+                    f"order-{p} subgroup {idx} has a constant total Chern class; arithmetic bug"
+                )
+            m_part, q_part = mp_q_decompose(nu, p)
+            by_trace[k] = (nu, m_part, q_part, (p - 1) % m_part == 0)
+        rows.append((idx, *by_trace[k]))
     return tuple(rows)
 
 

@@ -12,17 +12,20 @@ from yagita.cyclo import CycNum, cyclotomic_poly, zeta
 from yagita.exactmat import (
     CapExceededError,
     CycMatrix,
+    Perm,
+    WidePerm,
     block_diag,
     closure,
     det,
     element_order,
     kron,
     order_p_cyclic_subgroups,
+    perm,
     relations_check,
 )
-from yagita.numutil import euler_phi
-from yagita.ringspec import parse_ring
-from yagita.witness import verify_embedding, witness_menu
+from yagita.numutil import euler_phi, power
+from yagita.ringspec import Cyclotomic, parse_ring
+from yagita.witness import WitnessKind, build, verify_embedding, witness_menu
 
 
 def rand_int_matrix(rng, n, lo=-3, hi=3):
@@ -564,6 +567,58 @@ def test_order_p_cyclic_subgroups_dihedral():
 def test_order_p_cyclic_subgroups_cyclic():
     g = closure([CycMatrix.diagonal([zeta(5), zeta(5, 2)])])
     assert len(order_p_cyclic_subgroups(g, 5)) == 1
+
+
+def _compose(x: tuple, y: tuple) -> tuple:
+    """Reference product of permutations as tuples: y first, then x."""
+    return tuple(x[i] for i in y)
+
+
+@pytest.mark.parametrize("points", [1, 2, 255, 256, 257, 343])
+def test_perm_matches_tuple_oracle(points):
+    # bytes up to 256 points and tuples past that must compose, invert,
+    # power and compare as the plain tuples they stand for
+    rng = random.Random(points)
+    ident = tuple(range(points))
+    tuples = [ident] + [tuple(rng.sample(range(points), points)) for _ in range(5)]
+    perms = [perm(t) for t in tuples]
+    form = Perm if points <= 256 else WidePerm
+    assert all(type(x) is form and tuple(x) == t for x, t in zip(perms, tuples))
+    for s, x in zip(tuples, perms):
+        inv = x.inverse()
+        assert type(inv) is form and _compose(s, tuple(inv)) == ident
+        want = s
+        for e in range(1, 8):
+            assert type(power(x, e)) is form and tuple(power(x, e)) == want, e
+            want = _compose(want, s)
+    products = [x * y for x in perms for y in perms]
+    want = [_compose(s, t) for s in tuples for t in tuples]
+    assert all(type(z) is form for z in products)
+    assert [tuple(z) for z in products] == want
+    # products equal as tuples are equal, and hash alike, as permutations
+    assert [z == perm(t) for z, t in zip(products, want)] == [True] * len(want)
+    assert len(set(products)) == len(set(want)) < len(want)
+
+
+@pytest.mark.parametrize(
+    "kind, ring, points",
+    [(WitnessKind("E", 5, 1), Cyclotomic(5), 25), (WitnessKind("G1", 131, 2), Cyclotomic(131), 262)],
+)
+def test_closure_matches_tuple_oracle(kind, ring, points):
+    # the same elements, in the same order, as a breadth-first closure of
+    # the generators' permutations held as plain tuples (262 points take
+    # the tuple form)
+    group = closure(build(kind, ring).generators)
+    assert len(group.omega) == points
+    gens = [tuple(g) for g in group.gens]
+    want, seen = [tuple(range(points))], {tuple(range(points))}
+    for x in want:
+        for g in gens:
+            y = _compose(g, x)
+            if y not in seen:
+                seen.add(y)
+                want.append(y)
+    assert [tuple(x) for x in group.elements()] == want
 
 
 def _matrix_closure(gens):

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from yagita import exactmat, harness, witness
-from yagita.chern import EigenExponents
+from yagita.chern import EigenExponents, exponents_from_trace, n_upper
 from yagita.exactmat import CycMatrix, order_p_cyclic_subgroups
+from yagita.fppoly import mp_q_decompose
 from yagita.harness import (
     FAIL,
     INCOMPLETE,
@@ -328,3 +329,48 @@ def test_chern_scan_takes_one_pth_power_per_scanned_element(monkeypatch):
     assert alone == [("Perm", 3)] * len(reps) == [("Perm", 3)] * 13
     assert powers == alone
     assert len(rows) == len(reps)
+
+
+def test_chern_scan_computes_one_row_per_distinct_trace(monkeypatch):
+    # E(5,1) over cyclotomic:5 has 31 subgroups of order 5 and 2 traces
+    # among their representatives, so 2 bounds are computed for 31 rows
+    w = witness.build(witness.WitnessKind("E", 5, 1), Cyclotomic(5))
+    group = witness.verify_embedding(w).group
+    calls = []
+    real = harness.n_upper
+
+    def counted(e):
+        calls.append(e)
+        return real(e)
+
+    monkeypatch.setattr(harness, "n_upper", counted)
+    rows = harness._chern_scan(group, 5)
+    assert len(rows) == 31 and [r[0] for r in rows] == list(range(31))
+    assert len(calls) == 2
+
+
+def _rows_by_subgroup(group, p):
+    """Reference: the Chern row of every order-p subgroup, computed alone."""
+    rows = []
+    for idx, x in enumerate(order_p_cyclic_subgroups(group, p)):
+        nu = n_upper(exponents_from_trace(group.trace(x), group.size, p))
+        m_part, q_part = mp_q_decompose(nu, p)
+        rows.append((idx, nu, m_part, q_part, (p - 1) % m_part == 0))
+    return tuple(rows)
+
+
+def test_chern_rows_per_trace_match_rows_per_subgroup():
+    # every distinct menu witness of the coverage grid that verifies
+    checked = set()
+    for p in (2, 3, 5, 7):
+        for text in GRID_RINGS:
+            ring = parse_ring(text.format(p=4 if p == 2 else p))
+            for n in range(1, 11):
+                for w in witness_menu(p, n, ring):
+                    if (w.kind, w.ring, w.padded) in checked:
+                        continue
+                    checked.add((w.kind, w.ring, w.padded))
+                    vw = witness.verify_embedding(w)
+                    if vw.ok:
+                        assert harness._chern_scan(vw.group, p) == _rows_by_subgroup(vw.group, p), w
+    assert len(checked) > 30
