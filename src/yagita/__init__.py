@@ -33,10 +33,8 @@ from .formulas import (
     oracle_yagita,
     psi,
     yagita_gl,
-    yagita_gl_R,
     yagita_gl_Z,
     yagita_sl,
-    yagita_sl_R,
     yagita_sl_Z,
 )
 from .fppoly import (

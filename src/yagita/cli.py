@@ -103,13 +103,13 @@ def _cmd_witness(args) -> int:
 
 def _read_matrix(path: str) -> CycMatrix:
     """Read a matrix file; ``CycMatrix.from_json`` bounds it before any
-    arithmetic."""
+    arithmetic.  JSON nested past the interpreter's recursion limit is
+    malformed too."""
     with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    try:
-        return CycMatrix.from_json(obj)
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed matrix file: {exc!r}") from None
+        try:
+            return CycMatrix.from_json(json.load(fh))
+        except (KeyError, TypeError, RecursionError) as exc:
+            raise ValueError(f"malformed matrix file: {exc!r}") from None
 
 
 def _cmd_chern(args) -> int:

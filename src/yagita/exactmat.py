@@ -41,6 +41,7 @@ from itertools import chain, repeat
 from .cyclo import CycNum, _check_conductor, _json_entry, _sum_of_products, cyclotomic_poly
 from .numutil import euler_phi, power
 
+# closure's cap when the generators claim no order, as in element_order
 DEFAULT_CAP = 10**6
 MAX_MATRIX_SIZE = 64
 # array and memoryview codes of the signed machine integers, by width in
@@ -508,7 +509,9 @@ def closure(generators, cap: int = DEFAULT_CAP) -> MatrixGroup:
 
 
 def element_order(a: CycMatrix, cap: int = DEFAULT_CAP) -> int:
-    """The order of the group a generates; raises CapExceededError past cap."""
+    """The order of the group a generates; raises CapExceededError past cap.
+    Negative ``CycMatrix`` powers call it, and the traced benchmark run
+    patches it by name."""
     return len(closure([a], cap))
 
 

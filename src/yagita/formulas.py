@@ -2,14 +2,20 @@
 
 Everything here is exact integer arithmetic.  The GL value depends on the
 coefficient ring only through l = [F(zeta_p) : F], and ``yagita_gl`` is the
-one place it is evaluated: the values over Z and over rings containing
-zeta_p are that form at l = p - 1 and l = 1.  The SL value equals the GL
-value except in two narrow situations (p = 2 in dimension 2, and n of the
-form 2^r * l over rings missing an n-th root of -1), where only the pair
-{value, value/2} is determined.  That ambiguity is a first-class result
-(``SlResult.ambiguous``), never silently collapsed; over Z
-(``yagita_sl_Z``) it is the general SL form with the ambiguity resolved to
-the half value.
+one place it is evaluated.  The SL value equals the GL value except in two
+narrow situations (p = 2 in dimension 2, and n of the form 2^r * l over
+rings missing an n-th root of -1), where only the pair {value, value/2} is
+determined.  That ambiguity is a first-class result (``SlResult.ambiguous``),
+never silently collapsed; ``yagita_sl`` is the one SL rule set, for every
+ring.
+
+Only the Z forms keep names of their own, ``yagita_gl_Z`` (``yagita_gl`` at
+l = p - 1) and ``yagita_sl_Z`` (``yagita_sl`` there, with the ambiguity
+resolved to the half value), because the acceptance suite's GL table and
+``harness.table`` call them.  Over a ring containing zeta_p the forms are
+``yagita_gl`` and ``yagita_sl`` at l = 1: the weaker SL rules of the paper's
+zeta_p corollary pin no case that ``yagita_sl`` does not pin to the same
+value, so the tests keep them as an oracle only.
 """
 
 from __future__ import annotations
@@ -21,7 +27,6 @@ from .numutil import divisors, factorize, is_prime
 from .ringspec import (
     RationalIntegers,
     RingSpec,
-    contains_zeta_p,
     has_nth_root_of_minus_one,
 )
 
@@ -98,41 +103,17 @@ def yagita_sl(p: int, n: int, l: int, ring: RingSpec) -> SlResult:
 
 
 def yagita_gl_Z(p: int, n: int) -> int:
-    """GL_n over the rational integers: the l = p - 1 specialization."""
+    """GL_n over the rational integers: the l = p - 1 specialization,
+    named because the acceptance suite's GL table calls it."""
     return yagita_gl(p, n, p - 1)
 
 
 def yagita_sl_Z(p: int, n: int) -> int:
     """SL_n over Z; always exact.  The cases the general SL form leaves
     open over Z (n = p - 1 for odd p, and n = p = 2) resolve to the half
-    value."""
+    value.  Named because ``harness.table`` and the acceptance suite call it."""
     res = yagita_sl(p, n, p - 1, RationalIntegers())
     return res.value // 2 if res.ambiguous else res.value
-
-
-def yagita_gl_R(p: int, n: int, ring: RingSpec | None = None) -> int:
-    """GL_n over a ring containing zeta_p: the l = 1 specialization."""
-    if ring is not None and not contains_zeta_p(ring, p):
-        raise ValueError("ring does not contain a primitive p-th root of unity")
-    return yagita_gl(p, n, 1)
-
-
-def yagita_sl_R(p: int, n: int, ring: RingSpec) -> SlResult:
-    """SL_n over a ring containing zeta_p.  Exact when n >= max(p, 3), or the
-    ring has a (p-1)-st root of -1 (odd p), or i is present (n = p = 2);
-    otherwise only the pair {value, value/2} is asserted."""
-    if not contains_zeta_p(ring, p):
-        raise ValueError("ring does not contain a primitive p-th root of unity")
-    if n < 2:
-        raise ValueError("SL_n needs n >= 2")
-    value = yagita_gl(p, n, 1)
-    if n >= max(p, 3):
-        return SlResult(value, False)
-    if p % 2 == 1 and has_nth_root_of_minus_one(ring, p - 1):
-        return SlResult(value, False)
-    if n == 2 and p == 2 and has_nth_root_of_minus_one(ring, 2):
-        return SlResult(value, False)
-    return SlResult(value, True)
 
 
 def oracle_yagita(kind) -> int:
@@ -156,8 +137,9 @@ def oracle_yagita(kind) -> int:
 def lcm_form_reduced(p: int, l: int, n: int) -> int:
     """Lcm of {m <= n : m = l * q^r, q prime, q^r | (p-1)/l} (r = 0 allowed).
 
-    This is a reduced generating set for the lcm in the middle row of the
-    GL table; the two must agree, which the tests check exhaustively.
+    This is the paper's reduced generating set for the lcm in the middle
+    row of the GL table, kept so that the acceptance suite can check the
+    lemma: the two lcms must agree, which the tests check exhaustively.
     """
     _check_pl(p, l)
     if not l <= n <= p - 1:

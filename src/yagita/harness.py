@@ -25,12 +25,11 @@ Report JSON serializes every integer as a decimal string so downstream
 consumers cannot lose precision.  ``report_to_json`` writes it in one walk
 over the report's records, byte-identical to ``json.dumps(indent=2,
 sort_keys=True)`` of the same data (whose ``indent`` takes the slower
-pure-Python encoder); ``report_to_dict`` parses that text back.
+pure-Python encoder).
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
@@ -109,7 +108,7 @@ def _chern_scan(group: MatrixGroup, p: int) -> tuple:
 def yagita_upper_witness(group: MatrixGroup, p: int) -> int:
     """Lcm of 2 * n_upper over the order-p cyclic subgroups (1 if none): an
     upper-bound divisor for the Yagita invariant of any group factoring
-    through this matrix group."""
+    through this matrix group.  Demo 03 calls it."""
     return math.lcm(*(2 * nu for _, nu, *_ in _chern_scan(group, p)))
 
 
@@ -318,10 +317,6 @@ def report_to_json(report: VerificationReport) -> str:
     out: list[str] = []
     _emit(report, out, "")
     return "".join(out)
-
-
-def report_to_dict(report: VerificationReport) -> dict:
-    return json.loads(report_to_json(report))
 
 
 def exit_code(verdict: str) -> int:

@@ -101,9 +101,12 @@ RingSpec = Union[
 
 
 def is_rational_integers(ring: RingSpec) -> bool:
-    """Z itself, including the degenerate cyclotomic conductors 1 and 2."""
+    """Z itself, including the degenerate cyclotomic conductors 1 and 2 and
+    the degree-1 subfield Q of any Q(zeta_p)."""
     if isinstance(ring, RationalIntegers):
         return True
+    if isinstance(ring, SubCyclotomicFixedField):
+        return ring.d == 1
     return isinstance(ring, Cyclotomic) and ring.n in (1, 2)
 
 
@@ -150,8 +153,8 @@ def roots_of_unity_order(ring: RingSpec) -> int:
         return 2
     if isinstance(ring, SubCyclotomicFixedField):
         # a proper subfield of Q(zeta_p) contains only +-1; the degenerate
-        # d = p-1 case is Q(zeta_p) itself
-        return 2 * ring.p if ring.d == ring.p - 1 else 2
+        # d = p-1 case is Q(zeta_p) itself, which is Q at p = 2
+        return math.lcm(2, ring.p) if ring.d == ring.p - 1 else 2
     if isinstance(ring, AbstractRing):
         return ring.m
     raise UnsupportedFieldError(f"unsupported ring {ring!r}")

@@ -459,6 +459,18 @@ def test_chern_rejects_bad_matrix_file(
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("opening", ["[", '{"entries": '])
+def test_chern_rejects_deeply_nested_matrix_file(tmp_path, capsys, opening):
+    # json.load recurses once per level, so 200 000 levels pass any
+    # recursion limit; the file is malformed, not a crash
+    f = tmp_path / "m.json"
+    f.write_text(opening * 200_000, encoding="utf-8")
+    assert main(["chern", "--matrix-file", str(f), "--prime", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: malformed matrix file: RecursionError(")
+
+
 @pytest.mark.parametrize("matrix, message", BAD_MATRIX_FILES)
 def test_matrix_json_rejects_bad_matrix_file(monkeypatch, bounded_factoring, matrix, message):
     # the library reader raises what the CLI reports, which only names a

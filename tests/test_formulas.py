@@ -14,15 +14,19 @@ from yagita.formulas import (
     oracle_yagita,
     psi,
     yagita_gl,
-    yagita_gl_R,
     yagita_gl_Z,
     yagita_sl,
-    yagita_sl_R,
     yagita_sl_Z,
 )
 from yagita.harness import table, table_tsv
 from yagita.numutil import divisors, is_prime
-from yagita.ringspec import Cyclotomic, RationalIntegers, contains_zeta_p, parse_ring
+from yagita.ringspec import (
+    Cyclotomic,
+    RationalIntegers,
+    contains_zeta_p,
+    has_nth_root_of_minus_one,
+    parse_ring,
+)
 from yagita.witness import WitnessKind
 
 Z = RationalIntegers()
@@ -38,7 +42,8 @@ PRIMES_BELOW_60 = [p for p in range(60) if is_prime(p)]
 
 # The Z and zeta_p corollaries written out piecewise, and psi on exact
 # Fractions: independent oracles for the forms derived from yagita_gl and
-# yagita_sl, which evaluate everything in integers.
+# yagita_sl, which evaluate everything in integers.  The SL rules of the
+# zeta_p corollary are weaker than yagita_sl's and live only here.
 
 
 def psi_fraction(t, p):
@@ -71,6 +76,21 @@ def sl_Z_piecewise(p, n):
     return gl_Z_piecewise(p, n)
 
 
+def sl_R_piecewise(p, n, ring):
+    """SL_n over a ring containing zeta_p, by the zeta_p corollary: exact
+    when n >= max(p, 3), or the ring has a (p-1)-st root of -1 (odd p), or
+    i is present (n = p = 2); otherwise only {value, value/2} is asserted."""
+    assert contains_zeta_p(ring, p) and n >= 2
+    value = gl_R_piecewise(p, n)
+    if n >= max(p, 3):
+        return SlResult(value, False)
+    if p % 2 == 1 and has_nth_root_of_minus_one(ring, p - 1):
+        return SlResult(value, False)
+    if n == 2 and p == 2 and has_nth_root_of_minus_one(ring, 2):
+        return SlResult(value, False)
+    return SlResult(value, True)
+
+
 def test_psi_floors_against_fraction_oracle():
     for p in PRIMES_BELOW_60:
         for l in divisors(p - 1):
@@ -82,13 +102,13 @@ def test_specializations_against_piecewise_oracles():
     for p in PRIMES_BELOW_60:
         for n in range(1, 301):
             assert yagita_gl_Z(p, n) == gl_Z_piecewise(p, n), (p, n)
-            assert yagita_gl_R(p, n) == gl_R_piecewise(p, n), (p, n)
+            assert yagita_gl(p, n, 1) == gl_R_piecewise(p, n), (p, n)
             if n >= 2:
                 assert yagita_sl_Z(p, n) == sl_Z_piecewise(p, n), (p, n)
 
 
 def test_sl_R_never_asserts_more_than_sl():
-    # the zeta_p theorem pins fewer cases than the general SL form: each
+    # the zeta_p corollary pins fewer cases than the general SL form: each
     # value it leaves possible stays possible, and whatever it pins, the
     # general form pins to the same value
     cases = 0
@@ -98,7 +118,7 @@ def test_sl_R_never_asserts_more_than_sl():
             if not contains_zeta_p(ring, p):
                 continue
             for n in range(2, 40):
-                r, s = yagita_sl_R(p, n, ring), yagita_sl(p, n, 1, ring)
+                r, s = sl_R_piecewise(p, n, ring), yagita_sl(p, n, 1, ring)
                 assert set(s.candidates()) <= set(r.candidates()), (p, conductor, n)
                 if not r.ambiguous:
                     assert s == r, (p, conductor, n)
@@ -220,9 +240,6 @@ def test_corollary_specializations():
     for p in (2, 3, 5, 7, 11):
         for n in range(1, 40):
             assert yagita_gl_Z(p, n) == yagita_gl(p, n, p - 1)
-    for p in (2, 3, 5, 7):
-        for n in range(1, 40):
-            assert yagita_gl_R(p, n) == yagita_gl(p, n, 1)
 
 
 def test_sl_over_z_special_values():
@@ -235,18 +252,15 @@ def test_sl_over_z_special_values():
 
 
 def test_theorem5_style_values():
-    assert yagita_gl_R(3, 3, Cyclotomic(3)) == 12
-    assert yagita_gl_R(5, 2, Cyclotomic(5)) == 4
-    r = yagita_sl_R(2, 2, Cyclotomic(4))
-    assert r == SlResult(4, False)
+    assert yagita_gl(3, 3, 1) == 12
+    assert yagita_gl(5, 2, 1) == 4
+    assert yagita_sl(2, 2, 1, Cyclotomic(4)) == SlResult(4, False)
     # n >= max(p, 3) pins the value
-    assert yagita_sl_R(3, 3, Cyclotomic(3)) == SlResult(12, False)
+    assert yagita_sl(3, 3, 1, Cyclotomic(3)) == SlResult(12, False)
     # small n over a ring without the needed root of -1 stays open
-    assert yagita_sl_R(5, 2, Cyclotomic(5)).ambiguous
+    assert yagita_sl(5, 2, 1, Cyclotomic(5)).ambiguous
     # a (p-1)st root of -1 settles it
-    assert yagita_sl_R(5, 2, Cyclotomic(40)) == SlResult(4, False)
-    with pytest.raises(ValueError):
-        yagita_gl_R(5, 3, Z)
+    assert yagita_sl(5, 2, 1, Cyclotomic(40)) == SlResult(4, False)
 
 
 def test_oracle_yagita():
