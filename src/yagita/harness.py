@@ -64,7 +64,8 @@ class _Checked:
     chern_rows: tuple
 
 
-# keyed by (kind, ring, padded), which fix the embedding; the kind implies p
+# keyed by (kind, ring, padded), which name the model whatever the ring's
+# spelling (w.ring is read off the generators); the kind implies p
 _checked: dict[tuple, _Checked] = {}
 
 

@@ -11,7 +11,7 @@ have determinant 1, and the group's known Yagita invariant.
   of zeta_p-multiplication and the Galois group on the power basis of
   Z[zeta_p], in dimension p - 1.
 * ``G2(p, m)`` -- split metacyclic C_p : C_2m acting through C_m, realized
-  inside SL by twisting the order-m generator with a root of -1.
+  inside SL by twisting the order-m generator with a 2-power root of -1.
 * ``E(p, m)`` -- extraspecial group of order p^(2m+1) and exponent p
   (p odd): tensor products of the p-cycle and the diagonal of zeta_p
   powers, one slot per central factor; plus restriction of scalars to Z
@@ -25,7 +25,10 @@ have determinant 1, and the group's known Yagita invariant.
 
 Constructions only exist where an explicit basis for the coefficient ring
 action is available: rings containing zeta_p, and Z.  Everything else
-raises ``WitnessError`` instead of guessing.
+raises ``WitnessError`` instead of guessing.  The caller's ring only picks
+the model; an embedding's ``ring`` is read off its generators (Z, or
+Z[zeta_N] for their conductors' lcm N), so every spelling of one field
+gives the same model, and the harness verifies it once.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import functools
 import math
 from dataclasses import dataclass, replace
 
-from .cyclo import CycNum, zeta
+from .cyclo import zeta
 from .exactmat import (
     MAX_MATRIX_SIZE,
     CycMatrix,
@@ -58,7 +61,6 @@ from .ringspec import (
     contains_zeta_p,
     has_nth_root_of_minus_one,
     is_rational_integers,
-    roots_of_unity_order,
 )
 
 
@@ -94,7 +96,6 @@ def parse_kind(text: str) -> WitnessKind:
 @dataclass(frozen=True)
 class WitnessEmbedding:
     kind: WitnessKind
-    ring: RingSpec
     generators: tuple[CycMatrix, ...]
     expected_order: int
     claims_sl: bool
@@ -111,6 +112,14 @@ class WitnessEmbedding:
     @property
     def expected_yagita(self) -> int:
         return oracle_yagita(self.kind)
+
+    @functools.cached_property
+    def ring(self) -> RingSpec:
+        """The ring the generators' entries live in: Z, or Z[zeta_N] for the
+        lcm N of their conductors.  It names the model, whatever ring the
+        caller spelled."""
+        n = math.lcm(*(g.conductor for g in self.generators))
+        return RationalIntegers() if n == 1 else Cyclotomic(n)
 
     def __str__(self) -> str:
         pad = "+pad" if self.padded else ""
@@ -215,7 +224,6 @@ def build_g1(p: int, m: int, ring: RingSpec) -> WitnessEmbedding:
     claims_sl = det(a) == 1 and det(b) == 1
     return WitnessEmbedding(
         kind=WitnessKind("G1", p, m),
-        ring=ring,
         generators=(a, b),
         expected_order=p * m,
         claims_sl=claims_sl,
@@ -226,7 +234,10 @@ def build_g1(p: int, m: int, ring: RingSpec) -> WitnessEmbedding:
 
 def build_g2(p: int, m: int, ring: RingSpec) -> WitnessEmbedding:
     """C_p : C_2m (acting through C_m) inside SL: twist the order-m
-    generator B (determinant -1) by a root of unity mu with mu**n = -1."""
+    generator B (determinant -1) by mu of order q = 2^(v+1), 2^v the 2-part
+    of n, so that det(mu B) = -mu**n = 1.  mu is written over conductor
+    lcm(p, q) whatever the ring's spelling, which only decides whether mu
+    exists; verification checks the determinant."""
     if m % 2:
         raise WitnessError("the order-2m extension needs m even")
     base = build(WitnessKind("G1", p, m), ring)
@@ -239,27 +250,15 @@ def build_g2(p: int, m: int, ring: RingSpec) -> WitnessEmbedding:
             "order-m generator has determinant +1; the root-of-unity twist "
             "only lands in SL when it is -1"
         )
-    big = roots_of_unity_order(ring)
-    g0 = math.gcd(n, big)
-    half = big // 2
-    t = (half // g0) * pow(n // g0, -1, big // g0) % (big // g0)
-    mu = zeta(big, t)
-    if mu**m != CycNum.rational(-1):
-        raise WitnessError("chosen root of -1 does not certify order 2m")
-    c = mu * b
-    g = _least_unit_of_order(p, m)
-    relators: tuple[Word, ...] = (
-        (((0, p),)),
-        (((1, 2 * m),)),
-        ((1, 1), (0, 1), (1, -1), (0, -g)),
-    )
+    q = 2 * (n & -n)
+    c = zeta(math.lcm(p, q), math.lcm(p, q) // q) * b
     return WitnessEmbedding(
         kind=WitnessKind("G2", p, m),
-        ring=ring,
         generators=(a, c),
         expected_order=2 * p * m,
         claims_sl=True,
-        relators=relators,
+        # c conjugates a as B does; only the order of the second generator doubles
+        relators=(base.relators[0], ((1, 2 * m),), base.relators[2]),
         expected_center=2,
     )
 
@@ -285,9 +284,7 @@ def sl_pad(w: WitnessEmbedding) -> WitnessEmbedding:
 # extraspecial witnesses
 
 
-def _tensor_extraspecial(
-    p: int, m: int, x: CycMatrix, z: CycMatrix, ring: RingSpec
-) -> WitnessEmbedding:
+def _tensor_extraspecial(p: int, m: int, x: CycMatrix, z: CycMatrix) -> WitnessEmbedding:
     """The extraspecial group of order p^(2m+1) on the m-fold tensor power
     of p-dimensional blocks x and z of order p that commute up to a scalar.
 
@@ -322,7 +319,6 @@ def _tensor_extraspecial(
     central = tuple((m + i, i) for i in range(m))
     return WitnessEmbedding(
         kind=WitnessKind("E", p, m),
-        ring=ring,
         generators=gens,
         expected_order=p ** (2 * m + 1),
         claims_sl=True,
@@ -341,10 +337,11 @@ def build_extraspecial_monomial(p: int, m: int) -> WitnessEmbedding:
     """
     if not is_prime(p) or p == 2:
         raise WitnessError("need an odd prime p")
-    if p**m > MAX_MATRIX_SIZE:
-        raise WitnessError(f"p^m = {p**m} exceeds the matrix-size cap")
+    # m first, so no huge power is taken: p^m > 2^m > cap from the cap's bit length on
+    if m >= MAX_MATRIX_SIZE.bit_length() or p**m > MAX_MATRIX_SIZE:
+        raise WitnessError(f"m = {m}: {p}^m exceeds the matrix-size cap {MAX_MATRIX_SIZE}")
     diag = CycMatrix.diagonal([zeta(p, i) for i in range(p)])
-    return _tensor_extraspecial(p, m, _shift_matrix(p, 1), diag, Cyclotomic(p))
+    return _tensor_extraspecial(p, m, _shift_matrix(p, 1), diag)
 
 
 def blow_up_matrix(mat: CycMatrix, p: int) -> CycMatrix:
@@ -369,15 +366,13 @@ def blow_up_matrix(mat: CycMatrix, p: int) -> CycMatrix:
 def blow_up(w: WitnessEmbedding) -> WitnessEmbedding:
     """Restriction of scalars of a whole embedding from Z[zeta_p] to Z,
     giving the induced integral form of dimension (p-1) * n."""
-    p = 1
-    for g in w.generators:
-        p = math.lcm(p, g.conductor)
+    p = math.lcm(*(g.conductor for g in w.generators))
     if p == 1:
         raise WitnessError("entries are already rational integers")
     if (p - 1) * w.dimension > MAX_MATRIX_SIZE:
         raise WitnessError("blown-up dimension exceeds the matrix-size cap")
     new_gens = tuple(blow_up_matrix(g, p) for g in w.generators)
-    return replace(w, ring=RationalIntegers(), generators=new_gens, claims_sl=True)
+    return replace(w, generators=new_gens, claims_sl=True)
 
 
 def build_e2m_integer(m: int) -> WitnessEmbedding:
@@ -392,14 +387,13 @@ def build_e2m_integer(m: int) -> WitnessEmbedding:
     determinants 1) are checked by ``verify_embedding``, which the harness
     and the CLI run on every witness.
     """
-    if 2**m > MAX_MATRIX_SIZE:
-        raise WitnessError(f"2^m = {2**m} exceeds the matrix-size cap")
+    if m >= MAX_MATRIX_SIZE.bit_length():  # the same test as 2**m > MAX_MATRIX_SIZE
+        raise WitnessError(f"m = {m}: 2^m exceeds the matrix-size cap {MAX_MATRIX_SIZE}")
     if m == 1:
         j = CycMatrix([[0, -1], [1, 0]])
         d = CycMatrix([[1, 0], [0, -1]])
         return WitnessEmbedding(
             kind=WitnessKind("D8", 2, 1),
-            ring=RationalIntegers(),
             generators=(j, d),
             expected_order=8,
             claims_sl=False,
@@ -408,7 +402,7 @@ def build_e2m_integer(m: int) -> WitnessEmbedding:
         )
     swap = CycMatrix([[0, 1], [1, 0]])
     sign = CycMatrix([[1, 0], [0, -1]])
-    return _tensor_extraspecial(2, m, swap, sign, RationalIntegers())
+    return _tensor_extraspecial(2, m, swap, sign)
 
 
 def build_q8() -> WitnessEmbedding:
@@ -419,7 +413,6 @@ def build_q8() -> WitnessEmbedding:
     b = CycMatrix([[0, -1], [1, 0]])
     return WitnessEmbedding(
         kind=WitnessKind("Q8", 2, 1),
-        ring=Cyclotomic(4),
         generators=(a, b),
         expected_order=8,
         claims_sl=True,
@@ -594,7 +587,7 @@ def witness_menu(p: int, n: int, ring: RingSpec) -> list[WitnessEmbedding]:
         while 2**m <= size:
             add(WitnessKind("E", 2, m), RationalIntegers())
             m += 1
-        if n >= 2 and roots_of_unity_order(ring) % 4 == 0:
+        if n >= 2 and has_nth_root_of_minus_one(ring, 2):
             add(WitnessKind("Q8"), Cyclotomic(4))
     else:
         try:

@@ -5,8 +5,11 @@ import json
 import os
 import random
 import re
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -356,7 +359,7 @@ def test_unbounded_input_exits_1(capsys, monkeypatch, argv, message):
     [
         ("e:2:0", "m = 0 must be at least 1"),
         ("e:3:0", "m = 0 must be at least 1"),
-        ("e:2:7", "2^m = 128 exceeds the matrix-size cap"),
+        ("e:2:7", "m = 7: 2^m exceeds the matrix-size cap 64"),
     ],
 )
 def test_extraspecial_rank_out_of_range_exits_1(capsys, kind, message):
@@ -364,6 +367,23 @@ def test_extraspecial_rank_out_of_range_exits_1(capsys, kind, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "kind",
+    ["e:3:300000000", "e:2:4000000000", "e:3:10000000", "e:2:100000000"],
+)
+def test_huge_extraspecial_rank_fails_fast(kind):
+    # the rank is bounded before p^m is taken: a power taken first runs
+    # past the timeout, or past the digit limit of its message
+    p, m = kind.split(":")[1:]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-m", "yagita.cli", "witness", "--kind", kind],
+        env={**os.environ, "PYTHONPATH": src}, timeout=10, capture_output=True, text=True,
+    )
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr == f"error: m = {m}: {p}^m exceeds the matrix-size cap 64\n"
 
 
 def _entry(conductor=1, num=(0,), den=1):

@@ -100,9 +100,22 @@ SPELLINGS_OF_ONE_FIELD = [
 
 
 @pytest.mark.parametrize("spellings", SPELLINGS_OF_ONE_FIELD, ids=lambda g: g[0])
-def test_every_spelling_of_a_field_gives_the_same_answers(spellings):
+def test_every_spelling_of_a_field_gives_the_same_answers(spellings, monkeypatch):
     rings = [parse_ring(s) for s in spellings]
+    verified = []
+    real = harness.verify_embedding
+
+    def counting(w):
+        verified.append((w.kind, w.padded))
+        return real(w)
+
+    monkeypatch.setattr(harness, "_checked", {})
+    monkeypatch.setattr(harness, "verify_embedding", counting)
     for p in (2, 3, 5, 7):
+        # every spelling gets the same models, named by the same ring
+        for n in range(1, 9):
+            models = [[(w.kind, w.padded, w.ring) for w in witness_menu(p, n, ring)] for ring in rings]
+            assert all(m == models[0] for m in models), (p, n, models)
         tables = {s: table(p, ring, 8) for s, ring in zip(spellings, rings)}
         assert len(set(map(tuple, tables.values()))) == 1, (p, tables)
         for n in range(1, 9):
@@ -113,6 +126,8 @@ def test_every_spelling_of_a_field_gives_the_same_answers(spellings):
                     kinds = tuple(w.kind for w in r.witnesses)
                     answers[s] = (r.formula_value, r.formula_ambiguous, r.verdict, r.certified_lower, kinds)
                 assert len(set(answers.values())) == 1, (p, n, sl, answers)
+    # one verification per model, whatever the spelling
+    assert len(verified) == len(set(verified)), Counter(verified)
 
 
 def test_report_json_round_trip_and_strings():

@@ -155,6 +155,20 @@ def test_build_g2():
     assert det(w2.generators[1]) == 1
 
 
+def test_g2_is_one_model_whatever_the_ring():
+    # mu, of order q = 2^(v+1), is written over lcm(p, q), the first
+    # conductor of each family: every ring holding it gives the same
+    # generators, and each build verifies
+    families = {(3, 2): range(12, 121, 12), (5, 2): (20, 40, 60), (7, 6): (28, 56, 84)}
+    for (p, m), conductors in families.items():
+        first = build_g2(p, m, Cyclotomic(conductors[0]))
+        assert first.ring == Cyclotomic(conductors[0])
+        for N in conductors:
+            w = build_g2(p, m, Cyclotomic(N))
+            assert [g.to_json() for g in w.generators] == [g.to_json() for g in first.generators], N
+            assert w.ring == first.ring and verify_embedding(w).ok
+
+
 def test_build_g2_requires_root_of_minus_one():
     with pytest.raises(WitnessError):
         build_g2(5, 2, Cyclotomic(5))  # mu_10 has no square root of -1
