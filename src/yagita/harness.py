@@ -22,10 +22,13 @@ positive integer.  The verdict is
                            element past the claim (the CLI exits 1).
 
 Report JSON serializes every integer as a decimal string so downstream
-consumers cannot lose precision.  ``report_to_json`` writes it in one walk
-over the report's records, byte-identical to ``json.dumps(indent=2,
-sort_keys=True)`` of the same data (whose ``indent`` takes the slower
-pure-Python encoder).
+consumers cannot lose precision.  ``report_to_json`` writes it
+byte-identical to ``json.dumps(indent=2, sort_keys=True)`` of the same data
+(whose ``indent`` takes the slower pure-Python encoder).  The report and
+each of its lines whose every field has exactly its declared type (int,
+bool, str, or the tuple of lines) is written from one %-format per record
+type; any other record, a float in it included, goes through ``_emit``, a
+walk over its values that is also the reference the tests compare with.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
+from typing import get_args, get_origin, get_type_hints
 
 from .chern import exponents_from_trace, n_upper
 from .exactmat import MatrixGroup, order_p_cyclic_subgroups
@@ -54,13 +58,17 @@ FAIL = "Fail"
 
 @dataclass(frozen=True)
 class _Checked:
-    """What verify_case keeps of one verified witness: the verification
-    outcome, the closure order and, for a witness that verified, one Chern
-    row per order-p cyclic subgroup (independent of the ambient n).  The
-    enumerated elements are not kept."""
+    """What verify_case keeps of one verified witness, none of it dependent
+    on the ambient n: the verification outcome and the closure order; the
+    label its report lines carry; whether its known invariant divides the GL
+    formula value in its own dimension over its own ring; and, for a witness
+    that verified, one Chern row per order-p cyclic subgroup, each ending
+    with its rationality test.  The enumerated elements are not kept."""
 
     ok: bool
     order: int
+    label: str
+    ambient_ok: bool
     chern_rows: tuple
 
 
@@ -71,11 +79,20 @@ _checked: dict[tuple, _Checked] = {}
 
 def _check(w: WitnessEmbedding, p: int) -> _Checked:
     key = (w.kind, w.ring, w.padded)
-    if key not in _checked:
+    checked = _checked.get(key)
+    if checked is None:
         vw = verify_embedding(w)
-        rows = _chern_scan(vw.group, p) if vw.ok else ()
-        _checked[key] = _Checked(vw.ok, vw.order, rows)
-    return _checked[key]
+        # a verified embedding transports its group's known invariant into
+        # GL of its own dimension over its own ring, so that invariant must
+        # divide the GL formula value there; and each Chern bound must be a
+        # multiple of that ring's l (the rationality test)
+        l_w = compute_l(w.ring, p)
+        ambient_ok = yagita_gl(p, w.dimension, l_w) % w.expected_yagita == 0
+        rows = tuple(
+            row + (row[1] % l_w == 0,) for row in _chern_scan(vw.group, p)
+        ) if vw.ok else ()
+        checked = _checked[key] = _Checked(vw.ok, vw.order, w.label, ambient_ok, rows)
+    return checked
 
 
 def _chern_scan(group: MatrixGroup, p: int) -> tuple:
@@ -170,18 +187,16 @@ def verify_case(p: int, n: int, ring: RingSpec, sl: bool = False) -> Verificatio
     certified = 1
     for w in menu:
         checked = _check(w, p)
-        # a verified embedding transports its group's known invariant into
-        # GL_n, so that invariant must divide the GL formula value
-        l_w = compute_l(w.ring, p)
-        ambient = yagita_gl(p, w.dimension, l_w)
-        oracle_ok = gl_value % w.expected_yagita == 0 and ambient % w.expected_yagita == 0
+        # padded into GL_n, the known invariant must divide the GL value too
+        oracle = w.expected_yagita
+        oracle_ok = checked.ambient_ok and gl_value % oracle == 0
         lines.append(
             WitnessLine(
-                kind=str(w.kind) + ("+pad" if w.padded else ""),
+                kind=checked.label,
                 dimension=w.dimension,
                 padded=w.padded,
                 verified=checked.ok,
-                oracle=w.expected_yagita,
+                oracle=oracle,
                 order=checked.order,
                 oracle_divides_formula=oracle_ok,
             )
@@ -189,15 +204,14 @@ def verify_case(p: int, n: int, ring: RingSpec, sl: bool = False) -> Verificatio
         if not checked.ok or not oracle_ok:
             hard_fail = True
             continue
-        certified = math.lcm(certified, w.expected_yagita)
-        for idx, nu, m_part, q_part, prop_ok in checked.chern_rows:
-            rat_ok = nu % l_w == 0
+        certified = math.lcm(certified, oracle)
+        for idx, nu, m_part, q_part, prop_ok, rat_ok in checked.chern_rows:
             divides = gl_value % (2 * nu) == 0
             if not (prop_ok and rat_ok and divides):
                 hard_fail = True
             chern_lines.append(
                 ChernLine(
-                    witness=str(w.kind) + ("+pad" if w.padded else ""),
+                    witness=checked.label,
                     subgroup=idx,
                     n_upper=nu,
                     m=m_part,
@@ -314,10 +328,69 @@ def _emit(obj, out: list, pad: str) -> None:
         raise TypeError(f"no {type(obj).__name__} belongs in a report")
 
 
-def report_to_json(report: VerificationReport) -> str:
+def _emitted(obj, pad: str) -> str:
     out: list[str] = []
-    _emit(report, out, "")
+    _emit(obj, out, pad)
     return "".join(out)
+
+
+# a declared field type: its place in a template and the expression that
+# turns a value v of exactly that type into the place's argument (an int's
+# %s is its %d, and quicker; a tuple holds the lines of one record type)
+_SLOTS = {
+    int: ('"%s"', "{v}"),
+    bool: ("%s", '("false", "true")[{v}]'),
+    str: ("%s", "encode_basestring_ascii({v})"),
+    tuple: ("%s", "_lines_text({v}, _LINE_WRITERS[{item}])"),
+}
+
+
+def _writer(cls, pad: str):
+    """The writer of a record of type cls indented by pad.  A record of that
+    type whose every field has exactly its declared type (a bool is not an
+    int here) is written from one %-format built from the sorted keys of
+    _FIELDS; anything else goes through _emit.  The writer is generated, as
+    dataclasses generates __init__, so that each field is one local name and
+    only a string or a tuple costs a call."""
+    hints = get_type_hints(cls)
+    names = [name for name, _ in _FIELDS[cls]]
+    types = [get_origin(hints[name]) or hints[name] for name in names]
+    inner = "\n" + pad + "  "
+    template = "{" + ",".join(
+        inner + key + _SLOTS[t][0] for (_, key), t in zip(_FIELDS[cls], types)
+    ) + "\n" + pad + "}"
+    values = [f"v{i}" for i in range(len(names))]
+    args = [
+        _SLOTS[t][1].format(v=v, item=t is tuple and get_args(hints[name])[0].__name__)
+        for v, t, name in zip(values, types, names)
+    ]
+    source = f"""def write(record):
+    if type(record) is {cls.__name__}:
+        {", ".join(values)}, = {", ".join("record." + name for name in names)},
+        if {" and ".join(f"type({v}) is {t.__name__}" for v, t in zip(values, types))}:
+            return {template!r} % ({", ".join(args)},)
+    return _emitted(record, {pad!r})
+"""
+    scope: dict = {}
+    exec(source, globals(), scope)
+    return scope["write"]
+
+
+def _lines_text(lines: tuple, write) -> str:
+    """The JSON text of a tuple of report lines, each written by write, at
+    the indent of a field of the report."""
+    if not lines:
+        return "[]"
+    return "[\n    " + ",\n    ".join(map(write, lines)) + "\n  ]"
+
+
+# the lines of a report sit in its lists, two levels in
+_LINE_WRITERS = {cls: _writer(cls, "    ") for cls in (WitnessLine, ChernLine)}
+_write_report = _writer(VerificationReport, "")
+
+
+def report_to_json(report: VerificationReport) -> str:
+    return _write_report(report)
 
 
 def exit_code(verdict: str) -> int:

@@ -121,9 +121,13 @@ class WitnessEmbedding:
         n = math.lcm(*(g.conductor for g in self.generators))
         return RationalIntegers() if n == 1 else Cyclotomic(n)
 
+    @functools.cached_property
+    def label(self) -> str:
+        """The kind as reports name it, with "+pad" for the determinant pad."""
+        return str(self.kind) + ("+pad" if self.padded else "")
+
     def __str__(self) -> str:
-        pad = "+pad" if self.padded else ""
-        return f"{self.kind}{pad} in dim {self.dimension} over {self.ring}"
+        return f"{self.label} in dim {self.dimension} over {self.ring}"
 
 
 # ---------------------------------------------------------------------------
@@ -608,5 +612,7 @@ def witness_menu(p: int, n: int, ring: RingSpec) -> list[WitnessEmbedding]:
         while p**q <= MAX_MATRIX_SIZE and scale * p**q <= size:
             add(WitnessKind("E", p, q))
             q += 1
-    entries.sort(key=lambda w: (str(w.kind), w.padded, w.dimension))
+    # no kind's name is a proper prefix of another's, so the label orders
+    # as (kind name, padded) would
+    entries.sort(key=lambda w: (w.label, w.dimension))
     return entries

@@ -1,7 +1,10 @@
 import dataclasses
 import json
 import math
+import typing
 from collections import Counter
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -236,6 +239,77 @@ def test_report_json_rejects_inexact_numbers(x):
                 write(bad)
 
 
+# well-typed records: every field has exactly its declared type, so that
+# report_to_json writes each one from its template
+_typed_values = {
+    int: st.one_of(st.integers(-(10**30), 10**30), st.sampled_from([10**30, -(10**30), 0, -1])),
+    bool: st.booleans(),
+    str: st.text(st.one_of(st.sampled_from('"\\/\n\x00 ζ'), st.characters())),
+}
+
+
+def _typed_records(cls, **given_fields):
+    values = {name: _typed_values[t] for name, t in typing.get_type_hints(cls).items() if t in _typed_values}
+    return st.builds(cls, **{**values, **given_fields})
+
+
+_typed_reports = _typed_records(
+    VerificationReport,
+    witnesses=st.lists(_typed_records(WitnessLine), max_size=3).map(tuple),
+    chern_consistency=st.lists(_typed_records(ChernLine), max_size=3).map(tuple),
+)
+
+
+def _written_from_templates(report):
+    """report_to_json(report), failing if any part of it falls back to _emit."""
+    with mock.patch.object(harness, "_emit", side_effect=AssertionError("fell back to _emit")):
+        return report_to_json(report)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_typed_reports)
+def test_report_json_templates_match_json_dumps(report):
+    assert _written_from_templates(report) == json.dumps(_oracle(report), indent=2, sort_keys=True)
+
+
+def test_report_json_templates_match_json_dumps_on_a_large_report():
+    r = verify_case(3, 54, Z)
+    assert r.verdict == PASS and len(r.chern_consistency) == 1228
+    assert _written_from_templates(r) == json.dumps(_oracle(r), indent=2, sort_keys=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_typed_reports, st.data())
+def test_report_json_one_mistyped_field_in_a_typed_report(report, data):
+    # a float raises wherever it sits; any other value outside its field's
+    # declared type (a bool in an int field, say) is written by _emit
+    records = [report, *report.witnesses, *report.chern_consistency]
+    i = data.draw(st.integers(0, len(records) - 1))
+    names = [f.name for f in dataclasses.fields(records[i]) if f.name not in ("witnesses", "chern_consistency")]
+    x = data.draw(st.sampled_from([1.5, 0.0, -1.0, math.inf, math.nan, True, False, 7, "7", ()]))
+    bad = dataclasses.replace(records[i], **{data.draw(st.sampled_from(names)): x})
+    k = len(report.witnesses)
+    if i == 0:
+        report = bad
+    elif i <= k:
+        report = dataclasses.replace(report, witnesses=(*report.witnesses[: i - 1], bad, *report.witnesses[i:]))
+    else:
+        j = i - 1 - k
+        lines = report.chern_consistency
+        report = dataclasses.replace(report, chern_consistency=(*lines[:j], bad, *lines[j + 1 :]))
+    _assert_matches_oracle(report)  # which requires the TypeError for a float
+
+
+def test_report_json_lines_of_another_type():
+    # each item of a report's tuple of lines is written by the template of
+    # its own type or by _emit, whatever the tuple declares
+    r = verify_case(3, 6, Z)
+    swapped = dataclasses.replace(
+        r, witnesses=(*r.chern_consistency[:2], 7, "7", ()), chern_consistency=(*r.witnesses, r)
+    )
+    assert report_to_json(swapped) == json.dumps(_oracle(swapped), indent=2, sort_keys=True)
+
+
 def test_constant_chern_class_raises(monkeypatch):
     # an engine that read a representative as the identity would give the
     # bound 0 (a constant class); that raises instead of becoming a row
@@ -266,6 +340,45 @@ def test_every_chern_bound_on_the_grid_is_a_positive_int():
                         assert type(c.n_upper) is int and c.n_upper >= 1, (p, n, text, sl)
                         rows += 1
     assert rows > 10_000
+
+
+def _coverage_grid():
+    """The coverage grid, each (p, ring) pair once: GL for n = 1..10 and SL
+    for n = 2..10."""
+    for p in (2, 3, 5, 7):
+        for text in dict.fromkeys(t.format(p=4 if p == 2 else p) for t in GRID_RINGS):
+            for n in range(1, 11):
+                for sl in (False, True) if n >= 2 else (False,):
+                    yield p, text, n, sl
+
+
+COVERAGE_GRID = Path(__file__).parent / "data" / "coverage_grid.tsv"
+
+
+def coverage_grid_tsv() -> str:
+    """The verdict table of the coverage grid.  A change that moves a
+    verdict or a certified bound writes it anew with
+    PYTHONPATH=src:tests python -c 'import test_harness as t; print(t.coverage_grid_tsv(), end="")' > tests/data/coverage_grid.tsv
+    """
+    rows = ["p\tring\tn\tgroup\tverdict\tcertified_lower"]
+    for p, text, n, sl in _coverage_grid():
+        try:
+            r = verify_case(p, n, parse_ring(text), sl=sl)
+            verdict, certified = r.verdict, r.certified_lower
+        except Exception as exc:  # an error is a row of its own, never a verdict
+            verdict, certified = f"error: {type(exc).__name__}: {exc}", "-"
+        rows.append(f"{p}\t{text}\t{n}\t{'SL' if sl else 'GL'}\t{verdict}\t{certified}")
+    return "\n".join(rows) + "\n"
+
+
+def test_coverage_grid_verdicts_hold():
+    want = COVERAGE_GRID.read_text(encoding="utf-8").splitlines()
+    got = coverage_grid_tsv().splitlines()
+    assert got[0] == want[0]
+    assert len(got) == len(want) == 1 + 741
+    assert [g for g, w in zip(got, want) if g != w] == []
+    verdicts = Counter(row.split("\t")[4] for row in got[1:])
+    assert verdicts == {PASS: 383, PASS_WITH_AMBIGUITY: 3, INCOMPLETE: 355}  # no Fail, no error
 
 
 def test_table_p2():

@@ -446,6 +446,26 @@ def test_warm_menu_does_no_matrix_work(monkeypatch):
     assert products == [] and dets == []
 
 
+def test_warm_menu_orders_on_labels_named_once(monkeypatch):
+    # the menu sorts on each embedding's label, named once per embedding:
+    # the order of (kind name, padded, dimension), since no kind's name is a
+    # proper prefix of another's
+    cases = [
+        (p, n, parse_ring(text))
+        for p in (2, 3, 5, 7)
+        for text in ("Z", "Z[i]", "cyclotomic:3", f"cyclotomic:{4 if p == 2 else p}", "cyclotomic:8")
+        for n in range(1, 17)
+    ]
+    menus = [witness_menu(*case) for case in cases]
+    assert sum(map(len, menus)) > 300
+    for menu in menus:
+        assert menu == sorted(menu, key=lambda w: (str(w.kind), w.padded, w.dimension))
+        assert all(w.label == str(w.kind) + ("+pad" if w.padded else "") for w in menu)
+    names = _count_calls(monkeypatch, WitnessKind, "__str__")
+    assert [witness_menu(*case) for case in cases] == menus
+    assert names == []
+
+
 def test_ring_independent_witnesses_built_once():
     # E(2, m) and D8 live over Z whatever the ring, so the p = 2 menus over
     # Z and over Q(zeta_8) share one built embedding (and pad) per kind
