@@ -272,9 +272,13 @@ class CycMatrix:
                 raise ValueError("size mismatch")
             a, b = self._unify(other)
             cond, deg = a.conductor, euler_phi(a.conductor)
-            (da, ca, ta), (db, cb, tb) = _scale(a), _scale(b)
+            # a square (every squaring in power) scales and packs its operand once
+            square = b is a
+            da, ca, ta = scaled = _scale(a)
+            db, cb, tb = scaled if square else _scale(b)
             nbytes = _slot_bytes(max(a.size * deg * ta * tb, ta, tb))
-            sums = _sums(_pack(a, ca, nbytes), _pack(b, cb, nbytes), a.size)
+            pa = _pack(a, ca, nbytes)
+            sums = _sums(pa, pa if square else _pack(b, cb, nbytes), a.size)
             return CycMatrix._of(tuple(_unpack(sums, cond, nbytes, da * db)), cond)
         s = CycNum._coerce(other)
         if s is None:

@@ -162,29 +162,36 @@ class FpPoly:
                 g = math.gcd(g, i)
         return g
 
-    def all_roots_in_units(self) -> tuple[bool, Counter]:
-        """Strip every root in F_p^x by trial division.
+    def all_roots_in_units(self, candidates=None) -> tuple[bool, Counter]:
+        """Strip every root in F_p^x by trial division, trying each residue
+        of candidates in turn (by default every unit 1, ..., p - 1).
 
         Returns (True, multiset of roots) when the fully divided quotient is
         constant, i.e. the polynomial splits with all roots in the unit group;
         otherwise (False, {}).  Each trial is one Horner pass over the
         coefficient list, which gives the quotient by (x - r) and, last, the
-        remainder f(r).
+        remainder f(r).  A caller that knows the roots, such as the distinct
+        roots of linear factors it multiplied, passes them as candidates,
+        each in [1, p); a root missing from them leaves a nonconstant
+        quotient, and so gives False.
         """
         if self.is_zero:
             raise ValueError("zero polynomial has no well-defined root set")
         p = self.p
         g = self.coeffs[::-1]  # leading coefficient first
         roots: Counter = Counter()
-        r = 1
-        while len(g) > 1 and r < p:
-            acc, q = 0, []
-            for c in g:
-                acc = (acc * r + c) % p
-                q.append(acc)
-            if q.pop():
-                r += 1
-            else:
+        for r in range(1, p) if candidates is None else candidates:
+            if len(g) == 1:
+                break
+            if not 0 < r < p:
+                raise ValueError(f"candidate root {r} is not a unit in [1, {p})")
+            while len(g) > 1:
+                acc, q = 0, []
+                for c in g:
+                    acc = (acc * r + c) % p
+                    q.append(acc)
+                if q.pop():
+                    break
                 g = q
                 roots[r] += 1
         if len(g) == 1:
@@ -230,8 +237,9 @@ class Prop6Verdict:
     q: int
 
 
-def check_prop6(f: FpPoly) -> Prop6Verdict:
+def check_prop6(f: FpPoly, candidates=None) -> Prop6Verdict:
     """For nonconstant f with all roots in F_p^x, decompose its exponent gcd.
+    The roots are searched among candidates (``all_roots_in_units``).
 
     Writing the gcd as m * p**q, the factor m must divide p - 1.  A failure
     here cannot come from the input (the divisibility is a theorem), so it is
@@ -239,7 +247,7 @@ def check_prop6(f: FpPoly) -> Prop6Verdict:
     """
     if f.is_constant:
         raise ValueError("need a nonconstant polynomial")
-    ok, _ = f.all_roots_in_units()
+    ok, _ = f.all_roots_in_units(candidates)
     if not ok:
         raise ValueError("polynomial has roots outside F_p^x")
     n = f.exponent_gcd()
@@ -252,17 +260,27 @@ def check_prop6(f: FpPoly) -> Prop6Verdict:
     return Prop6Verdict(n, m, q)
 
 
-def random_unit_root_product(p: int, rng, max_factors: int = 10) -> FpPoly:
-    """Random product of at most max_factors linear factors (1 + a*x), a in F_p^x."""
-    k = rng.randint(1, max_factors)
+def random_unit_factors(p: int, rng, max_factors: int = 10) -> list[int]:
+    """The a of each factor 1 + a*x of a random product of at most
+    max_factors linear factors, a in F_p^x: one rng.randint for their
+    number, then one for each a."""
+    return [rng.randint(1, p - 1) for _ in range(rng.randint(1, max_factors))]
+
+
+def linear_product(p: int, factors) -> FpPoly:
+    """The product of the linear factors 1 + a*x over a in factors."""
     f = [1]
-    for _ in range(k):
-        a = rng.randint(1, p - 1)
+    for a in factors:
         # f * (1 + a*x) in place: coefficient i gains a times coefficient i - 1
         f.append(0)
         for i in range(len(f) - 1, 0, -1):
             f[i] = (f[i] + a * f[i - 1]) % p
     return FpPoly(p, f)
+
+
+def random_unit_root_product(p: int, rng, max_factors: int = 10) -> FpPoly:
+    """Random product of at most max_factors linear factors (1 + a*x), a in F_p^x."""
+    return linear_product(p, random_unit_factors(p, rng, max_factors))
 
 
 def parse_fp_poly(text: str, p: int | None = None) -> FpPoly:

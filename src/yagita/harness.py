@@ -6,7 +6,10 @@ enumeration, and certifies a lower bound as the lcm of the known invariants
 of the witnesses that actually verified.  It also runs the Chern-class
 consistency checks, from traces read off permutations, on every order-p
 cyclic subgroup of every verified witness; each Chern bound there is a
-positive integer.  The verdict is
+positive integer.  Only the formula values, the divisibility tests against
+them, the verdict and the report depend on n: the menus (memoized by
+``witness_menu``) and each witness's verification and report lines
+(``_checked``) are kept for the life of the process.  The verdict is
 
 * ``Pass``              -- certified lower bound equals the formula value;
 * ``PassWithAmbiguity`` -- the SL formula is only pinned up to a factor of 2
@@ -34,7 +37,7 @@ walk over its values that is also the reference the tests compare with.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from json.encoder import encode_basestring_ascii
 from typing import get_args, get_origin, get_type_hints
 
@@ -57,25 +60,46 @@ FAIL = "Fail"
 
 
 @dataclass(frozen=True)
+class WitnessLine:
+    kind: str
+    dimension: int
+    padded: bool
+    verified: bool
+    oracle: int
+    order: int
+    oracle_divides_formula: bool
+
+
+@dataclass(frozen=True)
+class ChernLine:
+    witness: str
+    subgroup: int
+    n_upper: int
+    m: int
+    q: int
+    rationality_ok: bool
+    divides_formula: bool
+
+
+@dataclass(frozen=True)
 class _Checked:
     """What verify_case keeps of one verified witness, none of it dependent
-    on the ambient n: the verification outcome and the closure order; the
-    label its report lines carry; whether its known invariant divides the GL
-    formula value in its own dimension over its own ring; and, for a witness
-    that verified, one Chern row per order-p cyclic subgroup, each ending
-    with its rationality test.  The enumerated elements are not kept."""
+    on the ambient n: its ``WitnessLine`` as reported for an n whose GL
+    value its known invariant divides; for a witness that verified, its
+    ``ChernLine`` per order-p cyclic subgroup as reported for an n whose GL
+    value every Chern bound divides, the lcm of those bounds 2 * n_upper,
+    and whether every row passes its m | p - 1 and rationality tests.  The
+    enumerated elements are not kept."""
 
-    ok: bool
-    order: int
-    label: str
-    ambient_ok: bool
-    chern_rows: tuple
+    line: WitnessLine
+    chern_lines: tuple
+    chern_bound: int
+    chern_ok: bool
 
 
 # keyed by (kind, ring, padded), which name the model whatever the ring's
 # spelling (w.ring is read off the generators); the kind implies p
 _checked: dict[tuple, _Checked] = {}
-
 
 def _check(w: WitnessEmbedding, p: int) -> _Checked:
     key = (w.kind, w.ring, w.padded)
@@ -87,11 +111,35 @@ def _check(w: WitnessEmbedding, p: int) -> _Checked:
         # divide the GL formula value there; and each Chern bound must be a
         # multiple of that ring's l (the rationality test)
         l_w = compute_l(w.ring, p)
-        ambient_ok = yagita_gl(p, w.dimension, l_w) % w.expected_yagita == 0
-        rows = tuple(
-            row + (row[1] % l_w == 0,) for row in _chern_scan(vw.group, p)
-        ) if vw.ok else ()
-        checked = _checked[key] = _Checked(vw.ok, vw.order, w.label, ambient_ok, rows)
+        oracle = w.expected_yagita
+        line = WitnessLine(
+            kind=w.label,
+            dimension=w.dimension,
+            padded=w.padded,
+            verified=vw.ok,
+            oracle=oracle,
+            order=vw.order,
+            oracle_divides_formula=yagita_gl(p, w.dimension, l_w) % oracle == 0,
+        )
+        rows = _chern_scan(vw.group, p) if vw.ok else ()
+        chern_lines = tuple(
+            ChernLine(
+                witness=w.label,
+                subgroup=idx,
+                n_upper=nu,
+                m=m_part,
+                q=q_part,
+                rationality_ok=nu % l_w == 0,
+                divides_formula=True,
+            )
+            for idx, nu, m_part, q_part, _ in rows
+        )
+        checked = _checked[key] = _Checked(
+            line,
+            chern_lines,
+            math.lcm(*(2 * nu for _, nu, *_ in rows)),
+            all(prop_ok and nu % l_w == 0 for _, nu, _, _, prop_ok in rows),
+        )
     return checked
 
 
@@ -131,28 +179,6 @@ def yagita_upper_witness(group: MatrixGroup, p: int) -> int:
 
 
 @dataclass(frozen=True)
-class WitnessLine:
-    kind: str
-    dimension: int
-    padded: bool
-    verified: bool
-    oracle: int
-    order: int
-    oracle_divides_formula: bool
-
-
-@dataclass(frozen=True)
-class ChernLine:
-    witness: str
-    subgroup: int
-    n_upper: int
-    m: int
-    q: int
-    rationality_ok: bool
-    divides_formula: bool
-
-
-@dataclass(frozen=True)
 class VerificationReport:
     p: int
     n: int
@@ -180,45 +206,29 @@ def verify_case(p: int, n: int, ring: RingSpec, sl: bool = False) -> Verificatio
     else:
         value, ambiguous = gl_value, False
 
-    menu = [w for w in witness_menu(p, n, ring) if (w.claims_sl if sl else not w.padded)]
     lines: list[WitnessLine] = []
     chern_lines: list[ChernLine] = []
     hard_fail = False
     certified = 1
-    for w in menu:
+    for w in witness_menu(p, n, ring, sl):
         checked = _check(w, p)
+        line = checked.line
         # padded into GL_n, the known invariant must divide the GL value too
-        oracle = w.expected_yagita
-        oracle_ok = checked.ambient_ok and gl_value % oracle == 0
-        lines.append(
-            WitnessLine(
-                kind=checked.label,
-                dimension=w.dimension,
-                padded=w.padded,
-                verified=checked.ok,
-                oracle=oracle,
-                order=checked.order,
-                oracle_divides_formula=oracle_ok,
-            )
-        )
-        if not checked.ok or not oracle_ok:
+        if gl_value % line.oracle:
+            line = replace(line, oracle_divides_formula=False)
+        lines.append(line)
+        if not (line.verified and line.oracle_divides_formula):
             hard_fail = True
             continue
-        certified = math.lcm(certified, oracle)
-        for idx, nu, m_part, q_part, prop_ok, rat_ok in checked.chern_rows:
-            divides = gl_value % (2 * nu) == 0
-            if not (prop_ok and rat_ok and divides):
-                hard_fail = True
-            chern_lines.append(
-                ChernLine(
-                    witness=checked.label,
-                    subgroup=idx,
-                    n_upper=nu,
-                    m=m_part,
-                    q=q_part,
-                    rationality_ok=rat_ok,
-                    divides_formula=divides,
-                )
+        certified = math.lcm(certified, line.oracle)
+        if gl_value % checked.chern_bound == 0:
+            chern_lines += checked.chern_lines
+            hard_fail = hard_fail or not checked.chern_ok
+        else:
+            hard_fail = True
+            chern_lines += (
+                replace(c, divides_formula=gl_value % (2 * c.n_upper) == 0)
+                for c in checked.chern_lines
             )
 
     if hard_fail:

@@ -561,20 +561,48 @@ def build(kind: WitnessKind, ring: RingSpec, padded: bool = False) -> WitnessEmb
 # the menu: which witnesses fit inside GL_n / SL_n over a given ring
 
 
-def witness_menu(p: int, n: int, ring: RingSpec) -> list[WitnessEmbedding]:
-    """All constructible witnesses fitting in dimension n over the ring.
+# keyed by (p, ring, min(n, MAX_MATRIX_SIZE)), the ring as the caller
+# spelled it: the menu, its unpadded entries (for GL_n) and its entries that
+# claim SL (for SL_n), as tuples; the entries are build's embeddings, so a
+# caller that empties build's cache empties this too
+_menus: dict[tuple, tuple] = {}
+
+
+def witness_menu(
+    p: int, n: int, ring: RingSpec, sl: bool | None = None
+) -> list[WitnessEmbedding] | tuple[WitnessEmbedding, ...]:
+    """All constructible witnesses fitting in dimension n over the ring, as
+    a new list; with ``sl=False`` only the unpadded ones, for GL_n, and
+    with ``sl=True`` only the ones with ``claims_sl``, for SL_n, as a tuple
+    that every such call shares.
 
     An unpadded witness of dimension d <= n sits inside GL_n by padding
     with the identity; the ones with ``claims_sl`` sit inside SL_n, which
     requires determinant 1 (directly, via a root-of-unity twist, or via
     the determinant pad into dimension d + 1, which is offered for SL
-    only).  The list may be empty: over rings with 1 < l < p - 1 no
-    integral model is available here.
+    only).  The menu may be empty: over rings with 1 < l < p - 1 no
+    integral model is available here.  The menus are built once per key of
+    ``_menus``.
     """
+    key = (p, ring, min(n, MAX_MATRIX_SIZE))
+    menus = _menus.get(key)
+    if menus is None:
+        menu = tuple(_build_menu(p, key[2], ring))
+        menus = _menus[key] = (
+            menu,
+            tuple(w for w in menu if not w.padded),
+            tuple(w for w in menu if w.claims_sl),
+        )
+    if sl is None:
+        return list(menus[0])
+    return menus[2] if sl else menus[1]
+
+
+def _build_menu(p: int, size: int, ring: RingSpec) -> list[WitnessEmbedding]:
+    """The menu in dimension size <= MAX_MATRIX_SIZE, every entry built."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     entries: list[WitnessEmbedding] = []
-    size = min(n, MAX_MATRIX_SIZE)
 
     def add(kind: WitnessKind, model_ring: RingSpec = ring) -> None:
         w = build(kind, model_ring)
@@ -591,7 +619,7 @@ def witness_menu(p: int, n: int, ring: RingSpec) -> list[WitnessEmbedding]:
         while 2**m <= size:
             add(WitnessKind("E", 2, m), RationalIntegers())
             m += 1
-        if n >= 2 and has_nth_root_of_minus_one(ring, 2):
+        if size >= 2 and has_nth_root_of_minus_one(ring, 2):
             add(WitnessKind("Q8"), Cyclotomic(4))
     else:
         try:

@@ -19,6 +19,7 @@ import yagita.cli
 from yagita.cli import main
 from yagita.cyclo import CycNum, zeta
 from yagita.exactmat import CycMatrix, Perm
+from yagita.fppoly import check_prop6, random_unit_root_product
 from yagita.ringspec import RationalIntegers
 from yagita.witness import WitnessKind, build, build_extraspecial_monomial, build_q8
 
@@ -238,6 +239,21 @@ def test_prop6_outputs_are_pinned(capsys, argv):
     code, out = run(capsys, "prop6", *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == PROP6_SHA256[argv]
+
+
+@pytest.mark.parametrize("p, count", [(7, 300), (101, 300), (9973, 30)])
+def test_prop6_random_matches_the_full_search(capsys, p, count):
+    # the CLI tries only the roots of the factors it drew; the reference
+    # draws the same products and searches every unit
+    code, out = run(capsys, "prop6", "--prime", str(p), "--random", str(count), "--seed", "9", "--json")
+    assert code == 0
+    rng = random.Random(9)
+    want = []
+    for _ in range(count):
+        f = random_unit_root_product(p, rng)
+        v = check_prop6(f)
+        want.append({"poly": str(f), "gcd": str(v.gcd), "m": str(v.m), "q": str(v.q), "holds": True})
+    assert json.loads(out) == want
 
 
 def test_prop6_explicit_poly(capsys):

@@ -693,6 +693,38 @@ def test_order_p_cyclic_subgroups_matches_power_sets(p, ring):
         assert [_matrix_key(m) for m in reps] == [_matrix_key(m) for m in want_reps], w
 
 
+def _square_operands():
+    rng = random.Random(13)
+    over_z = rand_int_matrix(rng, 6)
+    over_q13 = CycMatrix(
+        [[CycNum(13, [rng.randint(-2, 2) for _ in range(12)]) for _ in range(5)] for _ in range(5)]
+    )
+    with_den = CycMatrix(
+        [[Fraction(rng.randint(-4, 4), rng.randint(1, 6)) * zeta(13, rng.randrange(13))
+          for _ in range(4)] for _ in range(4)]
+    )
+    return [over_z, over_q13, with_den]
+
+
+@pytest.mark.parametrize("a", _square_operands(), ids=["Z", "Q(zeta13)", "den"])
+def test_square_packs_its_operand_once(monkeypatch, a):
+    # a structurally equal copy is another object, packed on its own
+    copy = CycMatrix(a.rows, a.conductor)
+    assert copy is not a and copy == a
+    pack, packed = exactmat._pack, []
+
+    def counted(*args):
+        packed.append(1)
+        return pack(*args)
+
+    monkeypatch.setattr(exactmat, "_pack", counted)
+    want = a * copy
+    assert len(packed) == 2
+    packed.clear()
+    assert _matrix_key(a * a) == _matrix_key(want)
+    assert len(packed) == 1
+
+
 def test_power_product_count(monkeypatch):
     # left-to-right square-and-multiply: floor(log2 e) squarings and
     # popcount(e) - 1 products by the base, none by the identity

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 from yagita.fppoly import (
     FpPoly,
     check_prop6,
+    linear_product,
     mp_q_decompose,
     parse_fp_poly,
+    random_unit_factors,
     random_unit_root_product,
 )
 
@@ -111,6 +113,32 @@ def test_prop6_random_products(p):
     for _ in range(200):
         f = random_unit_root_product(p, rng)
         assert (p - 1) % check_prop6(f).m == 0
+
+
+@pytest.mark.parametrize("p", [7, 13, 101])
+def test_candidate_roots_agree_with_the_full_search(p):
+    # 1 + a*x has the one root -1/a, so a drawn product's candidates are
+    # the distinct -1/a of its factors
+    rng = random.Random(p)
+    for _ in range(200):
+        factors = random_unit_factors(p, rng)
+        f = linear_product(p, factors)
+        roots = sorted({p - pow(a, -1, p) for a in factors})
+        full = f.all_roots_in_units()
+        assert full[0] and f.all_roots_in_units(roots) == full
+        assert sorted(full[1]) == roots
+        assert check_prop6(f, roots) == check_prop6(f)
+        # a candidate list missing a root leaves a nonconstant quotient
+        for missing in roots:
+            assert f.all_roots_in_units([r for r in roots if r != missing]) == (False, Counter())
+
+
+def test_candidate_roots_must_be_units():
+    f = FpPoly(5, (0, 1)) * FpPoly(5, (4, 1))  # roots 0 and 1
+    assert f.all_roots_in_units() == (False, Counter())
+    for bad in ([0, 1], [1, 5], [-4]):
+        with pytest.raises(ValueError, match="is not a unit"):
+            f.all_roots_in_units(bad)
 
 
 def _random_product_by_objects(p, rng, max_factors=10):

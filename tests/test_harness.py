@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import random
 import typing
 from collections import Counter
 from pathlib import Path
@@ -451,7 +452,10 @@ def test_each_witness_verified_once_and_no_elements_cached(monkeypatch):
     monkeypatch.setattr(witness, "verify_embedding", counted)
     monkeypatch.setattr(harness, "verify_embedding", counted)
     monkeypatch.setattr(harness, "_checked", {})
-    witness.build.cache_clear()  # build from cold, as a new process does
+    # build from cold, as a new process does; the menus hold built
+    # embeddings, so they go with the builds
+    witness.build.cache_clear()
+    witness._menus.clear()
     for sl, n_min in ((False, 1), (True, 2)):
         for n in range(n_min, 5):
             assert verify_case(2, n, Z, sl=sl).verdict != FAIL
@@ -529,3 +533,107 @@ def test_chern_rows_per_trace_match_rows_per_subgroup():
                     if vw.ok:
                         assert harness._chern_scan(vw.group, p) == _rows_by_subgroup(vw.group, p), w
     assert len(checked) > 30
+
+
+def _grid_reports(cases) -> dict:
+    return {
+        (p, text, n, sl): report_to_json(verify_case(p, n, parse_ring(text), sl=sl))
+        for p, text, n, sl in cases
+    }
+
+
+def test_warm_reports_equal_cold_reports_on_the_grid(monkeypatch):
+    # a warm call reads its menu and its lines from the caches; each report
+    # must be the one a cold call writes, whichever earlier call (another
+    # n, another spelling, GL or SL) filled them
+    monkeypatch.setattr(harness, "_checked", {})
+    monkeypatch.setattr(witness, "_menus", {})
+    cases = list(_coverage_grid())
+    cold = {}
+    for case in cases:
+        harness._checked.clear()
+        witness._menus.clear()
+        cold.update(_grid_reports([case]))
+    warm = _grid_reports(cases)
+    assert [c for c in cases if warm[c] != cold[c]] == []
+    shuffled = list(cases)
+    random.Random(1).shuffle(shuffled)
+    harness._checked.clear()
+    witness._menus.clear()
+    warm = _grid_reports(shuffled)
+    assert [c for c in cases if warm[c] != cold[c]] == []
+
+
+def _count_inits(monkeypatch, cls) -> list:
+    calls = []
+    init = cls.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "__init__", counted)
+    return calls
+
+
+def test_warm_call_builds_no_lines(monkeypatch):
+    # E(2,6) alone has 4159 order-2 subgroups: a warm call hands out the
+    # lines kept with each witness's check instead of building them again
+    monkeypatch.setattr(harness, "_checked", {})
+    monkeypatch.setattr(witness, "_menus", {})
+    witness_lines = _count_inits(monkeypatch, WitnessLine)
+    chern_lines = _count_inits(monkeypatch, ChernLine)
+    cold = verify_case(2, 64, Z)
+    assert cold.verdict == PASS and len(cold.chern_consistency) > 5000
+    assert len(witness_lines) == len(cold.witnesses)
+    assert len(chern_lines) == len(cold.chern_consistency)
+    witness_lines.clear()
+    chern_lines.clear()
+    warm = verify_case(2, 64, Z)
+    assert witness_lines == chern_lines == []
+    assert warm == cold and report_to_json(warm) == report_to_json(cold)
+
+
+def test_lines_rebuilt_when_a_bound_does_not_divide(monkeypatch):
+    # over Z at p = 3, n = 6 the witnesses are E(3,1) (oracle 6, Chern
+    # bounds 4 and 12) and G1(3,2) (oracle 4); against a GL value of 6 the
+    # G1 oracle fails and so do E(3,1)'s bounds, row by row
+    good = verify_case(3, 6, Z)
+    monkeypatch.setattr(harness, "yagita_gl", lambda p, n, l: 6)
+    r = verify_case(3, 6, Z)
+    assert r.verdict == FAIL and r.formula_value == 6
+    assert [(w.kind, w.oracle_divides_formula) for w in r.witnesses] == [
+        ("E(3,1)", True), ("G1(3,2)", False)
+    ]
+    want = [
+        dataclasses.replace(c, divides_formula=6 % (2 * c.n_upper) == 0)
+        for c in good.chern_consistency if c.witness == "E(3,1)"
+    ]
+    assert list(r.chern_consistency) == want
+    assert {c.divides_formula for c in want} == {False}
+    # the kept lines are untouched: the true value passes again
+    monkeypatch.undo()
+    assert verify_case(3, 6, Z) == good
+
+
+def _grid_pairs():
+    for p in (2, 3, 5, 7):
+        for text in dict.fromkeys(t.format(p=4 if p == 2 else p) for t in GRID_RINGS):
+            yield p, parse_ring(text)
+
+
+def test_memoized_menus_equal_fresh_builds(monkeypatch):
+    # one memo entry per (p, ring, min(n, MAX_MATRIX_SIZE)); each GL and SL
+    # menu is the fresh menu filtered, and the full menu a new list
+    monkeypatch.setattr(witness, "_menus", {})
+    for p, ring in _grid_pairs():
+        for n in (*range(1, 17), exactmat.MAX_MATRIX_SIZE, exactmat.MAX_MATRIX_SIZE + 1):
+            witness._menus.clear()
+            fresh = witness_menu(p, n, ring)
+            for m in range(1, 17):
+                witness_menu(p, m, ring, m % 2 == 0)
+            menu = witness_menu(p, n, ring)
+            assert menu == fresh and menu is not witness_menu(p, n, ring), (p, ring, n)
+            assert witness_menu(p, n, ring, False) == tuple(w for w in fresh if not w.padded)
+            assert witness_menu(p, n, ring, True) == tuple(w for w in fresh if w.claims_sl)
+            assert len(witness._menus) == len({*range(1, 17), min(n, exactmat.MAX_MATRIX_SIZE)})

@@ -39,3 +39,17 @@ def test_tracer_installs_and_restores():
     with tracing.Tracer().install():
         assert yagita.cli.eigen_exponents is not before[0]
     assert (yagita.cli.eigen_exponents, CycMatrix.__mul__) == before
+
+
+def test_warm_verify_case_records_a_menu_span():
+    # the menus are memoized behind witness_menu, so a call that reuses one
+    # still shows as a witness.witness_menu span under harness.verify_case
+    from yagita import harness
+    from yagita.ringspec import RationalIntegers
+
+    harness.verify_case(3, 3, RationalIntegers())
+    tracer = tracing.Tracer()
+    with tracer.install():
+        harness.verify_case(3, 3, RationalIntegers())
+    names = [s.name for s in tracer.spans]
+    assert names == ["harness.verify_case", "witness.witness_menu"]
