@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .cyclo import CycNum
 from .exactmat import CycMatrix
-from .fppoly import FpPoly
+from .fppoly import FpPoly, linear_product
 from .numutil import euler_phi, is_prime, ramanujan_sum
 
 
@@ -92,11 +92,8 @@ def exponents_from_trace(t: CycNum, n: int, p: int) -> EigenExponents:
 def total_chern(e: EigenExponents) -> FpPoly:
     """Product of (1 + a*x)^multiplicity(a) over F_p; the exponent a = 0
     (trivial summand) contributes the factor 1."""
-    f = FpPoly.one(e.p)
-    for a, mult in enumerate(e.multiplicities):
-        if a and mult:
-            f = f * FpPoly.one_plus_ax(e.p, a) ** mult
-    return f
+    factors = [a for a, mult in enumerate(e.multiplicities) if a for _ in range(mult)]
+    return linear_product(e.p, factors)
 
 
 def n_upper(e: EigenExponents) -> int:

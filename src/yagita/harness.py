@@ -27,19 +27,24 @@ them, the verdict and the report depend on n: the menus (memoized by
 Report JSON serializes every integer as a decimal string so downstream
 consumers cannot lose precision.  ``report_to_json`` writes it
 byte-identical to ``json.dumps(indent=2, sort_keys=True)`` of the same data
-(whose ``indent`` takes the slower pure-Python encoder).  The report and
-each of its lines whose every field has exactly its declared type (int,
-bool, str, or the tuple of lines) is written from one %-format per record
-type; any other record, a float in it included, goes through ``_emit``, a
-walk over its values that is also the reference the tests compare with.
+(whose ``indent`` takes the slower pure-Python encoder).  A report or
+line whose every field has exactly its declared type (int, bool, str, or
+the tuple of lines) is written from one %-format per record type, built
+from its sorted field names; each line keeps its text, so a line is
+written once per process however many reports hold it.  Anything else
+falls back to that ``json.dumps`` call itself (``_emit``); a float, which
+has no report text, raises TypeError.
 """
 
 from __future__ import annotations
 
+import functools
+import json
 import math
 from dataclasses import dataclass, fields, replace
 from json.encoder import encode_basestring_ascii
-from typing import get_args, get_origin, get_type_hints
+from operator import attrgetter
+from typing import get_origin, get_type_hints
 
 from .chern import exponents_from_trace, n_upper
 from .exactmat import MatrixGroup, order_p_cyclic_subgroups
@@ -59,8 +64,18 @@ INCOMPLETE = "Incomplete"
 FAIL = "Fail"
 
 
+class _Line:
+    """A report line, which keeps its JSON text: it is frozen, and the
+    harness hands out the same lines to every warm call."""
+
+    @functools.cached_property
+    def text(self) -> str:
+        """The line's JSON text as an item of a report's list of lines."""
+        return _write(self, _LINE_FORMATS, "    ")
+
+
 @dataclass(frozen=True)
-class WitnessLine:
+class WitnessLine(_Line):
     kind: str
     dimension: int
     padded: bool
@@ -71,7 +86,7 @@ class WitnessLine:
 
 
 @dataclass(frozen=True)
-class ChernLine:
+class ChernLine(_Line):
     witness: str
     subgroup: int
     n_upper: int
@@ -294,113 +309,87 @@ def table_tsv(rows: list[TableRow]) -> str:
 # ---------------------------------------------------------------------------
 # JSON with integers as decimal strings
 
-# each record type's fields, sorted, with the JSON text of each key
-_FIELDS = {
-    cls: tuple(
-        (name, f"{encode_basestring_ascii(name)}: ") for name in sorted(f.name for f in fields(cls))
-    )
-    for cls in (VerificationReport, WitnessLine, ChernLine)
-}
+
+def _plain(obj):
+    """A report or a part of one as the values json.dumps writes: records
+    become dicts of their fields, tuples lists and integers decimal
+    strings, and strs and bools stay.  Anything else, a float included,
+    raises TypeError."""
+    if isinstance(obj, (str, bool)):
+        return obj
+    if isinstance(obj, int):
+        return "%d" % obj
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    if type(obj) in _RECORDS:
+        return {f.name: _plain(getattr(obj, f.name)) for f in fields(obj)}
+    raise TypeError(f"no {type(obj).__name__} belongs in a report")
 
 
-def _emit(obj, out: list, pad: str) -> None:
-    """Append the JSON text of a report or a part of one, indented by pad,
-    to out: records become objects with sorted keys, tuples lists and
-    integers decimal strings; the pieces are those json.dumps(indent=2,
-    sort_keys=True) writes.  Anything else, a float included, raises
-    TypeError."""
-    if isinstance(obj, str):
-        out.append(encode_basestring_ascii(obj))
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, int):
-        out.append('"%d"' % obj)
-    elif type(obj) in _FIELDS:
-        inner = pad + "  "
-        sep = "{\n" + inner
-        for name, key in _FIELDS[type(obj)]:
-            out.append(sep + key)
-            sep = ",\n" + inner
-            _emit(getattr(obj, name), out, inner)
-        out.append("\n" + pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        inner = pad + "  "
-        sep = "[\n" + inner
-        for v in obj:
-            out.append(sep)
-            sep = ",\n" + inner
-            _emit(v, out, inner)
-        out.append("\n" + pad + "]")
-    else:
-        raise TypeError(f"no {type(obj).__name__} belongs in a report")
+def _emit(obj, pad: str) -> str:
+    """The JSON text of a report or a part of one indented by pad: what
+    json.dumps(indent=2, sort_keys=True) writes of _plain(obj)."""
+    return json.dumps(_plain(obj), indent=2, sort_keys=True).replace("\n", "\n" + pad)
 
 
-def _emitted(obj, pad: str) -> str:
-    out: list[str] = []
-    _emit(obj, out, pad)
-    return "".join(out)
-
-
-# a declared field type: its place in a template and the expression that
-# turns a value v of exactly that type into the place's argument (an int's
-# %s is its %d, and quicker; a tuple holds the lines of one record type)
-_SLOTS = {
-    int: ('"%s"', "{v}"),
-    bool: ("%s", '("false", "true")[{v}]'),
-    str: ("%s", "encode_basestring_ascii({v})"),
-    tuple: ("%s", "_lines_text({v}, _LINE_WRITERS[{item}])"),
-}
-
-
-def _writer(cls, pad: str):
-    """The writer of a record of type cls indented by pad.  A record of that
-    type whose every field has exactly its declared type (a bool is not an
-    int here) is written from one %-format built from the sorted keys of
-    _FIELDS; anything else goes through _emit.  The writer is generated, as
-    dataclasses generates __init__, so that each field is one local name and
-    only a string or a tuple costs a call."""
-    hints = get_type_hints(cls)
-    names = [name for name, _ in _FIELDS[cls]]
-    types = [get_origin(hints[name]) or hints[name] for name in names]
-    inner = "\n" + pad + "  "
-    template = "{" + ",".join(
-        inner + key + _SLOTS[t][0] for (_, key), t in zip(_FIELDS[cls], types)
-    ) + "\n" + pad + "}"
-    values = [f"v{i}" for i in range(len(names))]
-    args = [
-        _SLOTS[t][1].format(v=v, item=t is tuple and get_args(hints[name])[0].__name__)
-        for v, t, name in zip(values, types, names)
-    ]
-    source = f"""def write(record):
-    if type(record) is {cls.__name__}:
-        {", ".join(values)}, = {", ".join("record." + name for name in names)},
-        if {" and ".join(f"type({v}) is {t.__name__}" for v, t in zip(values, types))}:
-            return {template!r} % ({", ".join(args)},)
-    return _emitted(record, {pad!r})
-"""
-    scope: dict = {}
-    exec(source, globals(), scope)
-    return scope["write"]
-
-
-def _lines_text(lines: tuple, write) -> str:
-    """The JSON text of a tuple of report lines, each written by write, at
-    the indent of a field of the report."""
+def _lines_text(lines: tuple) -> str:
+    """The JSON text of a tuple of report lines at the indent of a field of
+    the report: each line's kept text, and anything else written anew."""
     if not lines:
         return "[]"
-    return "[\n    " + ",\n    ".join(map(write, lines)) + "\n  ]"
+    return "[\n    " + ",\n    ".join(
+        x.text if type(x) in _LINE_FORMATS else _emit(x, "    ") for x in lines
+    ) + "\n  ]"
 
 
+# what turns a field value of exactly its declared type into its argument in
+# a record's %-format; an int needs nothing, as its %s is its %d
+_CONVERTERS = {
+    bool: ("false", "true").__getitem__,
+    str: encode_basestring_ascii,
+    tuple: _lines_text,
+}
+
+
+def _format(cls, pad: str) -> tuple:
+    """The %-format of a record of type cls indented by pad, the getter of
+    its fields in sorted order, their declared types, and the converter of
+    each field that is not an int, by its position."""
+    hints = get_type_hints(cls)
+    names = sorted(f.name for f in fields(cls))
+    types = tuple(get_origin(hints[name]) or hints[name] for name in names)
+    template = "{%s\n%s}" % (",".join(
+        "\n%s  %s: %s" % (pad, encode_basestring_ascii(name), '"%s"' if t is int else "%s")
+        for name, t in zip(names, types)
+    ), pad)
+    converters = tuple((i, _CONVERTERS[t]) for i, t in enumerate(types) if t is not int)
+    return template, attrgetter(*names), types, converters
+
+
+def _write(record, formats: dict, pad: str) -> str:
+    """The JSON text of a record indented by pad: from its type's entry in
+    formats when every field has exactly its declared type (a bool is not
+    an int here), and from _emit otherwise."""
+    spec = formats.get(type(record))
+    if spec is not None:
+        template, get, types, converters = spec
+        values = get(record)
+        if tuple(map(type, values)) == types:
+            values = list(values)
+            for i, convert in converters:
+                values[i] = convert(values[i])
+            return template % tuple(values)
+    return _emit(record, pad)
+
+
+_RECORDS = (VerificationReport, WitnessLine, ChernLine)
+_REPORT_FORMATS = {VerificationReport: _format(VerificationReport, "")}
 # the lines of a report sit in its lists, two levels in
-_LINE_WRITERS = {cls: _writer(cls, "    ") for cls in (WitnessLine, ChernLine)}
-_write_report = _writer(VerificationReport, "")
+_LINE_FORMATS = {cls: _format(cls, "    ") for cls in (WitnessLine, ChernLine)}
 
 
 def report_to_json(report: VerificationReport) -> str:
-    return _write_report(report)
+    return _write(report, _REPORT_FORMATS, "")
 
 
 def exit_code(verdict: str) -> int:

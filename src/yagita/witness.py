@@ -244,7 +244,7 @@ def build_g2(p: int, m: int, ring: RingSpec) -> WitnessEmbedding:
     exists; verification checks the determinant."""
     if m % 2:
         raise WitnessError("the order-2m extension needs m even")
-    base = build(WitnessKind("G1", p, m), ring)
+    base = build(WitnessKind("G1", p, m), _model_ring(p, ring))
     a, b = base.generators
     n = base.dimension
     if not has_nth_root_of_minus_one(ring, n):
@@ -265,6 +265,17 @@ def build_g2(p: int, m: int, ring: RingSpec) -> WitnessEmbedding:
         relators=(base.relators[0], ((1, 2 * m),), base.relators[2]),
         expected_center=2,
     )
+
+
+def _model_ring(p: int, ring: RingSpec) -> RingSpec:
+    """The ring G1(p, m) and E(p, m) are built over at an odd prime p, once
+    whatever its spelling: Z, Q(zeta_p) for a ring containing zeta_p (their
+    monomial models take nothing else from it), else the ring itself."""
+    if is_rational_integers(ring):
+        return RationalIntegers()
+    if is_prime(p) and not isinstance(ring, AbstractRing) and contains_zeta_p(ring, p):
+        return Cyclotomic(p)
+    return ring
 
 
 def sl_pad(w: WitnessEmbedding) -> WitnessEmbedding:
@@ -628,17 +639,19 @@ def _build_menu(p: int, size: int, ring: RingSpec) -> list[WitnessEmbedding]:
             return entries
         if not (is_rational_integers(ring) or l == 1):
             return entries
+        # G2 keeps the caller's ring, which decides whether its twist exists
+        model = _model_ring(p, ring)
         for m in divisors(p - 1):
             dim = math.lcm(m, l)
             if m < 2 or dim > size:
                 continue
-            add(WitnessKind("G1", p, m))
+            add(WitnessKind("G1", p, m), model)
             if m % 2 == 0 and has_nth_root_of_minus_one(ring, dim):
                 add(WitnessKind("G2", p, m))
         scale = (p - 1) if is_rational_integers(ring) else 1
         q = 1
         while p**q <= MAX_MATRIX_SIZE and scale * p**q <= size:
-            add(WitnessKind("E", p, q))
+            add(WitnessKind("E", p, q), model)
             q += 1
     # no kind's name is a proper prefix of another's, so the label orders
     # as (kind name, padded) would

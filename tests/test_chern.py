@@ -77,6 +77,28 @@ def test_total_chern_expansions():
     assert total_chern(e3) == FpPoly.one(5)
 
 
+def _product_of_powers(e):
+    """The total Chern class as a product of FpPoly powers of 1 + a*x."""
+    f = FpPoly.one(e.p)
+    for a, mult in enumerate(e.multiplicities):
+        if a and mult:
+            f = f * FpPoly.one_plus_ax(e.p, a) ** mult
+    return f
+
+
+@st.composite
+def _exponents(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13, 31, 101]))
+    mults = draw(st.lists(st.integers(0, 12), min_size=p, max_size=p))
+    return EigenExponents(p, tuple(mults))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_exponents())
+def test_total_chern_equals_product_of_powers(e):
+    assert total_chern(e) == _product_of_powers(e)
+
+
 def test_n_upper_examples():
     assert n_upper(eigen_exponents(regular_rep_zeta(3), 3)) == 2
     central = zeta(3) * CycMatrix.identity(3, 3)

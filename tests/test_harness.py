@@ -594,6 +594,25 @@ def test_warm_call_builds_no_lines(monkeypatch):
     assert warm == cold and report_to_json(warm) == report_to_json(cold)
 
 
+def test_warm_report_writes_no_line_again(monkeypatch):
+    # each line keeps its text: once a report is written, a warm call's
+    # report (the same kept lines) is written from the report's own format
+    # and the lines' texts, with no line written again
+    cold = report_to_json(verify_case(2, 64, Z))
+    writes = []
+    real = harness._write
+
+    def counted(record, formats, pad):
+        writes.append(type(record))
+        return real(record, formats, pad)
+
+    monkeypatch.setattr(harness, "_write", counted)
+    warm = verify_case(2, 64, Z)
+    assert len(warm.chern_consistency) > 5000
+    assert report_to_json(warm) == cold
+    assert writes == [VerificationReport]
+
+
 def test_lines_rebuilt_when_a_bound_does_not_divide(monkeypatch):
     # over Z at p = 3, n = 6 the witnesses are E(3,1) (oracle 6, Chern
     # bounds 4 and 12) and G1(3,2) (oracle 4); against a GL value of 6 the

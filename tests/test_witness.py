@@ -476,3 +476,43 @@ def test_ring_independent_witnesses_built_once():
     over_z, over_8 = e2(Z), e2(parse_ring("cyclotomic:8"))
     assert len(over_z) == len(over_8) == 3  # D8, its pad, E(2,2)
     assert all(a is b for a, b in zip(over_z, over_8))
+
+
+def test_spellings_of_one_field_build_each_model_once(monkeypatch):
+    # G1 and E at odd p are built over their model ring (Q(zeta_5) here),
+    # not over the caller's spelling of it
+    calls = {}
+    for name in ("build_g1", "sl_pad", "build_extraspecial_monomial"):
+        real = getattr(witness, name)
+        calls[name] = []
+
+        def counted(*args, _real=real, _calls=calls[name]):
+            _calls.append(args)
+            return _real(*args)
+
+        monkeypatch.setattr(witness, name, counted)
+    monkeypatch.setattr(witness, "_menus", {})
+    witness.build.cache_clear()
+    for text in ("cyclotomic:5", "cyclotomic:10", "subcyclotomic:5:4"):
+        for n in range(1, 9):
+            for sl in (False, True):
+                witness_menu(5, n, parse_ring(text), sl)
+    witness.build.cache_clear()
+    # G1(5,2) and G1(5,4), each with its pad, and E(5,1)
+    assert {name: len(c) for name, c in calls.items()} == {
+        "build_g1": 2, "sl_pad": 2, "build_extraspecial_monomial": 1
+    }
+
+
+def test_g2_shares_its_g1_with_the_menu(monkeypatch):
+    # G2 is built over the caller's ring, its G1 base over the model ring,
+    # so the menu's G1 is the one G2 twists
+    calls = []
+    real = witness.build_g1
+    monkeypatch.setattr(witness, "build_g1", lambda *args: calls.append(args) or real(*args))
+    monkeypatch.setattr(witness, "_menus", {})
+    witness.build.cache_clear()
+    menu = witness_menu(5, 4, Cyclotomic(20))
+    witness.build.cache_clear()
+    assert {w.label for w in menu} >= {"G1(5,2)", "G1(5,4)", "G2(5,2)"}
+    assert calls == [(5, 2, Cyclotomic(5)), (5, 4, Cyclotomic(5))]
